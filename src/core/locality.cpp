@@ -408,39 +408,120 @@ std::optional<Locality> LocalityDeriver::wholeDesign(
   return result;
 }
 
-std::array<std::uint32_t, cdfg::kOpKindCount> LocalityDeriver::faninKindCounts(
-    NodeId root, std::uint32_t radius) const {
-  std::array<std::uint32_t, cdfg::kOpKindCount> counts{};
-  if (isTransparentKind(csr_.kind(root))) {
-    return counts;
+namespace {
+
+/// True when `outer` holds at least as many nodes of every kind as `inner`.
+bool kindCountsCover(const KindCounts& outer,
+                     const KindCounts& inner) noexcept {
+  for (std::size_t k = 0; k < outer.size(); ++k) {
+    if (outer[k] < inner[k]) {
+      return false;
+    }
   }
-  // Mirror of derive()'s Step 1a ball(radius, /*undirected=*/false): a
-  // breadth-first walk over copy-transparent real predecessors.  Membership
-  // is all that matters here, so the per-level sorting derive() does for
-  // determinism of *order* is unnecessary — the counted set is identical.
-  std::vector<bool> seen(csr_.nodeCount(), false);
+  return true;
+}
+
+/// Mirror of derive()'s Step 1a ball(radius, /*undirected=*/false): a
+/// breadth-first walk over copy-transparent real predecessors of a real
+/// `root`.  Calls on_level(k, counts) with the kind histogram of the ball
+/// of radius k, for k = 0..radius, and stops early when it returns false
+/// or when the ball stops growing.  Membership is all that matters here,
+/// so the per-level sorting derive() does for determinism of *order* is
+/// unnecessary — the counted set is identical.  Returns the last counts
+/// reported, or nullopt when on_level stopped the walk.
+template <typename OnLevel>
+std::optional<KindCounts> walkFaninLevels(const cdfg::CsrView& v, NodeId root,
+                                          std::uint32_t radius,
+                                          OnLevel&& on_level) {
+  KindCounts counts{};
+  counts[static_cast<std::size_t>(v.kind(root))] += 1;
+  if (!on_level(0, counts)) {
+    return std::nullopt;
+  }
+  std::vector<bool> seen(v.nodeCount(), false);
   std::vector<NodeId> frontier{root};
   seen[root.value()] = true;
-  counts[static_cast<std::size_t>(csr_.kind(root))] += 1;
   for (std::uint32_t d = 0; d < radius && !frontier.empty(); ++d) {
     std::vector<NodeId> next;
-    for (const NodeId v : frontier) {
-      for (const NodeId p : realPreds(csr_, v)) {
+    for (const NodeId u : frontier) {
+      for (const NodeId p : realPreds(v, u)) {
         if (!seen[p.value()]) {
           seen[p.value()] = true;
-          counts[static_cast<std::size_t>(csr_.kind(p))] += 1;
+          counts[static_cast<std::size_t>(v.kind(p))] += 1;
           next.push_back(p);
         }
       }
     }
     frontier = std::move(next);
+    if (!on_level(d + 1, counts)) {
+      return std::nullopt;
+    }
   }
   return counts;
 }
 
-std::array<std::uint32_t, cdfg::kOpKindCount> LocalityDeriver::realKindCounts()
-    const {
-  std::array<std::uint32_t, cdfg::kOpKindCount> counts{};
+/// The per-level histograms walkFaninLevels reports, in level order.
+std::vector<KindCounts> faninLevels(const cdfg::CsrView& v, NodeId root,
+                                    std::uint32_t radius) {
+  std::vector<KindCounts> levels;
+  walkFaninLevels(v, root, radius,
+                  [&](std::uint32_t, const KindCounts& counts) {
+                    levels.push_back(counts);
+                    return true;
+                  });
+  return levels;
+}
+
+/// Rank of the only node of `shape` with no outgoing edge, if exactly one
+/// has none.
+std::optional<std::uint32_t> uniqueSink(const cdfg::Cdfg& shape) {
+  std::vector<bool> has_out(shape.nodeCount(), false);
+  for (const cdfg::EdgeId e : shape.allEdges()) {
+    has_out[shape.edge(e).src.value()] = true;
+  }
+  std::optional<std::uint32_t> sink;
+  for (std::uint32_t i = 0; i < has_out.size(); ++i) {
+    if (!has_out[i]) {
+      if (sink.has_value()) {
+        return std::nullopt;
+      }
+      sink = i;
+    }
+  }
+  return sink;
+}
+
+}  // namespace
+
+std::vector<KindCounts> LocalityDeriver::faninKindCounts(
+    NodeId root, std::uint32_t radius) const {
+  if (isTransparentKind(csr_.kind(root))) {
+    return {KindCounts{}};
+  }
+  return faninLevels(csr_, root, radius);
+}
+
+bool LocalityDeriver::faninCovers(
+    NodeId root, const std::vector<KindCounts>& layers) const {
+  if (layers.empty()) {
+    return true;
+  }
+  // derive() rejects transparent roots outright.
+  if (isTransparentKind(csr_.kind(root))) {
+    return false;
+  }
+  const std::optional<KindCounts> cone = walkFaninLevels(
+      csr_, root, static_cast<std::uint32_t>(layers.size() - 1),
+      [&](std::uint32_t k, const KindCounts& counts) {
+        return kindCountsCover(counts, layers[k]);
+      });
+  // A walk that ended early holds the whole cone; the layers grow, so the
+  // last one is the only one left to check.
+  return cone.has_value() && kindCountsCover(*cone, layers.back());
+}
+
+KindCounts LocalityDeriver::realKindCounts() const {
+  KindCounts counts{};
   const std::size_t n = csr_.nodeCount();
   for (std::size_t i = 0; i < n; ++i) {
     const cdfg::OpKind kind = csr_.kind(NodeId(static_cast<std::uint32_t>(i)));
@@ -466,21 +547,49 @@ std::vector<NodeId> LocalityDeriver::candidateRoots() const {
   return roots;
 }
 
+KindCounts shapeKindCounts(const cdfg::Cdfg& shape) {
+  KindCounts counts{};
+  for (const cdfg::Node& n : shape.nodes()) {
+    counts[static_cast<std::size_t>(n.kind)] += 1;
+  }
+  return counts;
+}
+
+std::vector<KindCounts> anchorKindCounts(const cdfg::Cdfg& shape,
+                                         std::uint32_t anchor_rank,
+                                         std::uint32_t radius) {
+  detail::check(anchor_rank < shape.nodeCount(),
+                "anchorKindCounts: anchor rank outside the shape");
+  // Shape nodes are all real, so the design-side walk counts exactly the
+  // shape nodes within k predecessor hops.
+  return faninLevels(cdfg::CsrView(shape), NodeId(anchor_rank), radius);
+}
+
 std::vector<ShapeHit> scanShapeMatches(const LocalityDeriver& deriver,
                                        const crypto::AuthorSignature& signature,
                                        const std::string& context,
                                        const LocalityParams& params,
                                        const cdfg::Cdfg& shape,
-                                       std::optional<cdfg::OpKind> root_kind,
                                        const std::vector<NodeId>& roots) {
   LOCWM_OBS_SPAN("core.locality.shape_scan");
   LOCWM_OBS_COUNT("core.locality.shape_scan_roots", roots.size());
+  // The sound root screen of locality.h: layer k must be covered by the
+  // root's fanin ball of radius k, and the last layer is the whole shape.
+  const std::optional<std::uint32_t> anchor = uniqueSink(shape);
+  if (!anchor.has_value()) {  // every derived shape has one (claim 2)
+    LOCWM_OBS_COUNT("core.locality.screened_roots", roots.size());
+    return {};
+  }
+  std::vector<KindCounts> layers =
+      anchorKindCounts(shape, *anchor, params.max_distance);
+  layers.back() = shapeKindCounts(shape);
   // Each slot is written by exactly one task; the serial fold below
   // preserves `roots` order regardless of scheduling.
   std::vector<std::optional<ShapeHit>> found(roots.size());
   rt::parallel_for(0, roots.size(), /*grain=*/1, [&](std::size_t i) {
     const NodeId root = roots[i];
-    if (root_kind.has_value() && deriver.csr().kind(root) != *root_kind) {
+    if (!deriver.faninCovers(root, layers)) {
+      LOCWM_OBS_COUNT("core.locality.screened_roots", 1);
       return;
     }
     crypto::KeyedBitstream carve_bits(signature, context + "/carve");

@@ -39,6 +39,9 @@
 
 namespace locwm::wm {
 
+/// Operation-kind histogram, indexed by the dense OpKind value.
+using KindCounts = std::array<std::uint32_t, cdfg::kOpKindCount>;
+
 /// Parameters of domain selection.
 struct LocalityParams {
   /// Max fanin distance Δ of the initial subtree To around the root.
@@ -110,21 +113,29 @@ class LocalityDeriver {
   /// their own.
   [[nodiscard]] const cdfg::CsrView& csr() const noexcept { return csr_; }
 
-  /// Operation-kind histogram of the directed copy-transparent fanin ball
-  /// of `radius` around `root`, root included — exactly the member set of
-  /// derive()'s Step 1a fanin tree To.  Every carve at
-  /// max_distance <= radius selects its nodes from this ball and the
+  /// Operation-kind histograms of the directed copy-transparent fanin
+  /// balls around `root`, root included — the member sets of derive()'s
+  /// Step 1a fanin tree To.  Element k counts the ball of radius k, for
+  /// k = 0..radius; the walk stops once the ball stops growing, so the
+  /// result may be shorter and back() then holds every larger radius.
+  /// Every carve at max_distance <= k selects its nodes from ball k and the
   /// contracted shape preserves node kinds, so any matched locality's kind
-  /// counts are component-wise <= these.  That superset relation is what
-  /// the corpus-scan pre-filter screens on.  Returns all zeros for
+  /// counts are component-wise <= these — the superset relation the root
+  /// screen of scanShapeMatches tests.  Returns one all-zero element for
   /// transparent roots (derive() rejects them outright).
-  [[nodiscard]] std::array<std::uint32_t, cdfg::kOpKindCount> faninKindCounts(
+  [[nodiscard]] std::vector<KindCounts> faninKindCounts(
       cdfg::NodeId root, std::uint32_t radius) const;
+
+  /// True when the fanin ball of radius k around `root` covers layers[k]
+  /// for every k, and the whole fanin cone covers layers.back().  `layers`
+  /// must grow monotonically.  One level-by-level walk that stops at the
+  /// first level that fails; false for transparent roots.
+  [[nodiscard]] bool faninCovers(cdfg::NodeId root,
+                                 const std::vector<KindCounts>& layers) const;
 
   /// Kind histogram over every real (non-transparent) operation — the
   /// superset any wholeDesign() locality selects from.
-  [[nodiscard]] std::array<std::uint32_t, cdfg::kOpKindCount> realKindCounts()
-      const;
+  [[nodiscard]] KindCounts realKindCounts() const;
 
  private:
   const cdfg::Cdfg* graph_;
@@ -138,18 +149,57 @@ struct ShapeHit {
   std::vector<cdfg::NodeId> nodes;
 };
 
+/// Kind histogram of every node of a shape graph.
+[[nodiscard]] KindCounts shapeKindCounts(const cdfg::Cdfg& shape);
+
+/// Kind histograms of the anchor's fanin balls inside a shape: element k
+/// counts the shape nodes within k predecessor hops of the node at
+/// `anchor_rank`, for k = 0..radius.  Like faninKindCounts, the result
+/// stops once the ball stops growing (at most nodeCount() + 1 elements).
+[[nodiscard]] std::vector<KindCounts> anchorKindCounts(
+    const cdfg::Cdfg& shape, std::uint32_t anchor_rank, std::uint32_t radius);
+
 /// The structural core shared by the sched/reg/tm detectors and the corpus
 /// scanner: re-derive the keyed locality at every root in `roots` and
-/// collect those whose shape equals `shape`.  When `root_kind` is set
-/// (certificates that record their anchor's rank), roots of the wrong
-/// operation kind are skipped without deriving; pass nullopt for
-/// certificates with no recorded anchor (rooted tm).  Roots are scanned in
+/// collect those whose shape equals `shape`.
+///
+/// Every root first passes the sound root screen below and is skipped
+/// without deriving when it fails; skipped roots are counted in the
+/// `core.locality.screened_roots` obs counter.  Roots are scanned in
 /// parallel on the rt pool with hits folded back in `roots` order, so the
 /// result is identical to a serial left-to-right scan at any thread count.
+///
+/// Sound root screen.  Let c match at root r: derive(r) yields a locality
+/// whose shape equals `shape`.  Then these necessary conditions hold,
+/// regardless of the key, the carve probabilities or the canonical order:
+///
+///  1. Every carved node lies in the directed copy-transparent fanin ball
+///     of radius max_distance around r (derive() Step 1a/3), and the
+///     contracted shape preserves node kinds.  So shapeKindCounts(shape)
+///     is component-wise <= the counts of that ball.
+///  2. The carve is a fanin breadth-first walk from r, so every carved
+///     node reaches r inside the shape; the shape is acyclic, so r is its
+///     unique sink.  A shape with no unique sink matches nowhere, and the
+///     anchor — the sink's rank — is computed from the shape alone.
+///  3. Each shape edge p -> q is a contracted edge, i.e. a design path from
+///     p to q through copies only, so p is a copy-transparent real
+///     predecessor of q.  A shape node within k predecessor hops of the
+///     anchor thus lies in r's fanin ball of radius k, and distinct shape
+///     nodes are distinct design nodes.  So anchorKindCounts(shape,
+///     anchor, max_distance)[k] is component-wise <= the counts of r's
+///     fanin ball of radius k for every k; at k = 0 this says r has the
+///     anchor's kind.  When the anchor's ball stops growing at level K it
+///     holds the whole shape (every node reaches the sink), so r's ball of
+///     radius K already covers the shape.
+///
+/// The screen checks 3 level by level with the last level raised to 1, in
+/// one fanin walk per root that stops at the first failing level.  The
+/// corpus scanner (scan/fingerprint.h) encodes the counts of 1 and of 3 at
+/// k = 1 as threshold fingerprints to screen whole (certificate, design)
+/// pairs before any design is lowered.
 [[nodiscard]] std::vector<ShapeHit> scanShapeMatches(
     const LocalityDeriver& deriver, const crypto::AuthorSignature& signature,
     const std::string& context, const LocalityParams& params,
-    const cdfg::Cdfg& shape, std::optional<cdfg::OpKind> root_kind,
-    const std::vector<cdfg::NodeId>& roots);
+    const cdfg::Cdfg& shape, const std::vector<cdfg::NodeId>& roots);
 
 }  // namespace locwm::wm

@@ -8,7 +8,6 @@
 #include "core/pass_audit.h"
 #include "obs/obs.h"
 #include "regbind/lifetime.h"
-#include "rt/rt.h"
 
 namespace locwm::wm {
 
@@ -145,45 +144,26 @@ RegDetectResult RegisterWatermarker::detect(
   best.total = certificate.pairs.size();
   best.root = NodeId::invalid();
 
-  const cdfg::OpKind root_kind =
-      certificate.shape.node(NodeId(certificate.root_rank)).kind;
   const LocalityDeriver deriver(suspect);
-  // Per-root locality re-derivation is independent; fold the per-root
-  // shared-register counts serially in root order so the winning root (and
-  // every tie-break) matches the serial scan exactly.
-  const std::vector<NodeId> roots = deriver.candidateRoots();
-  std::vector<std::optional<std::size_t>> shared_at(roots.size());
-  rt::parallel_for(0, roots.size(), /*grain=*/1, [&](std::size_t i) {
-    const NodeId root = roots[i];
-    if (suspect.node(root).kind != root_kind) {
-      return;
-    }
-    crypto::KeyedBitstream carve_bits(signature_,
-                                      certificate.context + "/carve");
-    const std::optional<Locality> loc =
-        deriver.derive(root, certificate.locality_params, carve_bits);
-    if (!loc || !shapeEquals(loc->shape, certificate.shape)) {
-      return;
-    }
+  // Hits arrive in root order, so the first root with the most shared
+  // pairs wins, as in a serial scan.
+  for (const ShapeHit& hit : scanShapeMatches(
+           deriver, signature_, certificate.context,
+           certificate.locality_params, certificate.shape,
+           deriver.candidateRoots())) {
     std::size_t shared = 0;
     for (const RankConstraint& c : certificate.pairs) {
-      const NodeId a = loc->nodes[c.before_rank];
-      const NodeId b = loc->nodes[c.after_rank];
+      const NodeId a = hit.nodes[c.before_rank];
+      const NodeId b = hit.nodes[c.after_rank];
       if (table.produces(a) && table.produces(b) &&
           binding.of(table, a) == binding.of(table, b)) {
         ++shared;
       }
     }
-    shared_at[i] = shared;
-  });
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    if (!shared_at[i]) {
-      continue;
-    }
     ++best.shape_matches;
-    if (*shared_at[i] > best.shared || !best.root.isValid()) {
-      best.shared = *shared_at[i];
-      best.root = roots[i];
+    if (shared > best.shared || !best.root.isValid()) {
+      best.shared = shared;
+      best.root = hit.root;
     }
   }
   best.found =

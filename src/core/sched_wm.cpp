@@ -290,10 +290,9 @@ SchedDetector::SchedDetector(const SchedulingWatermarker& marker,
   const LocalityDeriver deriver(suspect);
   const std::vector<NodeId> roots = deriver.candidateRoots();
   LOCWM_OBS_COUNT("core.sched_wm.detect_roots_scanned", roots.size());
-  matches_ = scanShapeMatches(
-      deriver, marker.signature(), certificate.context,
-      certificate.locality_params, certificate.shape,
-      certificate.shape.node(NodeId(certificate.root_rank)).kind, roots);
+  matches_ = scanShapeMatches(deriver, marker.signature(), certificate.context,
+                              certificate.locality_params, certificate.shape,
+                              roots);
   LOCWM_OBS_COUNT("core.sched_wm.detect_shape_matches", matches_.size());
 }
 
@@ -304,10 +303,9 @@ SchedDetector::SchedDetector(const crypto::AuthorSignature& signature,
     : certificate_(&certificate) {
   LOCWM_OBS_SPAN("core.sched_wm.detect_scan");
   LOCWM_OBS_COUNT("core.sched_wm.detect_roots_scanned", roots.size());
-  matches_ = scanShapeMatches(
-      deriver, signature, certificate.context, certificate.locality_params,
-      certificate.shape,
-      certificate.shape.node(NodeId(certificate.root_rank)).kind, roots);
+  matches_ = scanShapeMatches(deriver, signature, certificate.context,
+                              certificate.locality_params, certificate.shape,
+                              roots);
   LOCWM_OBS_COUNT("core.sched_wm.detect_shape_matches", matches_.size());
 }
 

@@ -9,7 +9,6 @@
 #include "cdfg/error.h"
 #include "core/pass_audit.h"
 #include "obs/obs.h"
-#include "rt/rt.h"
 
 namespace locwm::wm {
 
@@ -251,35 +250,27 @@ TmDetectResult TemplateWatermarker::detect(
   }
 
   const LocalityDeriver deriver(suspect);
-  std::vector<NodeId> scan_roots;
+  std::vector<ShapeHit> hits;
   if (certificate.whole_design) {
-    scan_roots.push_back(NodeId::invalid());  // single whole-design pass
+    // One whole-design pass; the hit carries no root.
+    std::optional<Locality> loc =
+        deriver.wholeDesign(certificate.locality_params.min_size);
+    if (loc && shapeEquals(loc->shape, certificate.shape)) {
+      hits.push_back(ShapeHit{NodeId::invalid(), std::move(loc->nodes)});
+    }
   } else {
-    scan_roots = deriver.candidateRoots();
+    hits = scanShapeMatches(deriver, signature_, certificate.context,
+                            certificate.locality_params, certificate.shape,
+                            deriver.candidateRoots());
   }
-  // Per-root scans are independent (the cover-key set is read-only); the
-  // serial fold keeps the `present >= best.present` later-root-wins
-  // tie-break byte-identical to the sequential loop.
-  std::vector<std::optional<std::size_t>> present_at(scan_roots.size());
-  rt::parallel_for(0, scan_roots.size(), /*grain=*/1, [&](std::size_t i) {
-    const NodeId root = scan_roots[i];
-    std::optional<Locality> loc;
-    if (certificate.whole_design) {
-      loc = deriver.wholeDesign(certificate.locality_params.min_size);
-    } else {
-      crypto::KeyedBitstream carve_bits(signature_,
-                                        certificate.context + "/carve");
-      loc = deriver.derive(root, certificate.locality_params, carve_bits);
-    }
-    if (!loc || !shapeEquals(loc->shape, certificate.shape)) {
-      return;
-    }
+  // Hits arrive in root order; `>=` lets the later root win ties.
+  for (const ShapeHit& hit : hits) {
     std::size_t present = 0;
     for (const EnforcedMatching& em : certificate.matchings) {
       tm::Matching expect;
       expect.template_id = em.template_id;
       for (const auto& [rank, op] : em.pairs) {
-        expect.pairs.push_back(tm::MatchPair{loc->nodes[rank], op});
+        expect.pairs.push_back(tm::MatchPair{hit.nodes[rank], op});
       }
       std::sort(expect.pairs.begin(), expect.pairs.end(),
                 [](const tm::MatchPair& a, const tm::MatchPair& b) {
@@ -289,16 +280,10 @@ TmDetectResult TemplateWatermarker::detect(
         ++present;
       }
     }
-    present_at[i] = present;
-  });
-  for (std::size_t i = 0; i < scan_roots.size(); ++i) {
-    if (!present_at[i]) {
-      continue;
-    }
     ++best.shape_matches;
-    if (*present_at[i] >= best.present) {
-      best.present = *present_at[i];
-      best.root = scan_roots[i];
+    if (present >= best.present) {
+      best.present = present;
+      best.root = hit.root;
     }
   }
   best.found = best.shape_matches > 0 && best.present == best.total &&

@@ -1,5 +1,6 @@
 #include "scan/fingerprint.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -56,11 +57,7 @@ KindFingerprint fingerprintOfCounts(
 }
 
 KindFingerprint shapeFingerprint(const cdfg::Cdfg& shape) {
-  std::array<std::uint32_t, cdfg::kOpKindCount> counts{};
-  for (const cdfg::Node& n : shape.nodes()) {
-    counts[static_cast<std::size_t>(n.kind)] += 1;
-  }
-  return fingerprintOfCounts(counts);
+  return fingerprintOfCounts(wm::shapeKindCounts(shape));
 }
 
 DesignIndex buildDesignIndex(const wm::LocalityDeriver& deriver,
@@ -76,10 +73,15 @@ DesignIndex buildDesignIndex(const wm::LocalityDeriver& deriver,
     const cdfg::NodeId root = index.roots[i];
     index.root_kinds[i] =
         static_cast<std::uint8_t>(deriver.csr().kind(root));
-    index.root_fps[i] =
-        fingerprintOfCounts(deriver.faninKindCounts(root, radius));
-    index.root_fps1[i] =
-        fingerprintOfCounts(deriver.faninKindCounts(root, 1));
+    // One walk serves both radii; a short result means the ball stopped
+    // growing, so back() stands for every larger radius.
+    const std::vector<wm::KindCounts> balls =
+        deriver.faninKindCounts(root, std::max<std::uint32_t>(radius, 1));
+    const auto ball = [&](std::uint32_t k) {
+      return balls[std::min<std::size_t>(k, balls.size() - 1)];
+    };
+    index.root_fps[i] = fingerprintOfCounts(ball(radius));
+    index.root_fps1[i] = fingerprintOfCounts(ball(1));
   });
   for (std::size_t i = 0; i < index.roots.size(); ++i) {
     index.kind_union[index.root_kinds[i]].merge(index.root_fps[i]);

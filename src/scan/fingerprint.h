@@ -1,14 +1,12 @@
 // Locality fingerprints — the corpus scan's sound pre-filter.
 //
-// The screen rests on one invariant of locality derivation (locality.cpp,
-// derive() Step 1a/3): every carved node is a member of the directed
-// copy-transparent fanin ball of radius max_distance around the root, and
-// the contracted shape preserves node kinds.  So for any certificate that
-// matches at a root, the shape's operation-kind histogram is
-// component-wise <= the histogram of that root's fanin ball — regardless
-// of the key, the carve probabilities, or the canonical ordering.  The
-// ball grows monotonically with radius, so one design-side radius
-// R = max(max_distance over the key ring) is sound for every certificate.
+// The screen encodes the kind counts of the sound root screen documented
+// at wm::scanShapeMatches (core/locality.h), which also holds its
+// soundness argument: a matching root's fanin ball of radius max_distance
+// covers the shape's kind counts, and its radius-1 fanin covers the
+// anchor's.  The ball grows monotonically with radius, so one design-side
+// radius R = max(max_distance over the key ring) is sound for every
+// certificate.
 //
 // Histograms are encoded as saturating threshold bits (6 per kind:
 // count >= 1, 2, 3, 4, 6, 8), making "can nest inside" one O(1) bitwise

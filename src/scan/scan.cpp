@@ -47,16 +47,6 @@ struct CertScreen {
   bool whole_design = false;
 };
 
-KindFingerprint anchorFingerprint(const cdfg::Cdfg& shape,
-                                  std::uint32_t root_rank) {
-  // The shape is itself a Cdfg (all real nodes), so the deriver's ball
-  // semantics apply verbatim: shape-predecessors of the anchor are direct
-  // real predecessors of any matching design root.
-  const wm::LocalityDeriver deriver(shape);
-  return fingerprintOfCounts(
-      deriver.faninKindCounts(cdfg::NodeId(root_rank), 1));
-}
-
 std::vector<CertScreen> buildScreens(const KeyRing& ring) {
   std::vector<CertScreen> screens;
   screens.reserve(ring.size());
@@ -65,7 +55,8 @@ std::vector<CertScreen> buildScreens(const KeyRing& ring) {
     switch (entry.kind) {
       case CertKind::kSched:
         sc.fp = shapeFingerprint(entry.sched->shape);
-        sc.fp1 = anchorFingerprint(entry.sched->shape, entry.sched->root_rank);
+        sc.fp1 = fingerprintOfCounts(wm::anchorKindCounts(
+            entry.sched->shape, entry.sched->root_rank, /*radius=*/1).back());
         sc.root_kind =
             entry.sched->shape.node(cdfg::NodeId(entry.sched->root_rank)).kind;
         break;
@@ -75,7 +66,8 @@ std::vector<CertScreen> buildScreens(const KeyRing& ring) {
         break;
       case CertKind::kReg:
         sc.fp = shapeFingerprint(entry.reg->shape);
-        sc.fp1 = anchorFingerprint(entry.reg->shape, entry.reg->root_rank);
+        sc.fp1 = fingerprintOfCounts(wm::anchorKindCounts(
+            entry.reg->shape, entry.reg->root_rank, /*radius=*/1).back());
         sc.root_kind =
             entry.reg->shape.node(cdfg::NodeId(entry.reg->root_rank)).kind;
         break;
@@ -390,7 +382,7 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
         }
         const std::vector<wm::ShapeHit> hits = wm::scanShapeMatches(
             *deriver, entry.signature, cert.context, cert.locality_params,
-            cert.shape, sc.root_kind, candidates);
+            cert.shape, candidates);
         if (!hits.empty()) {
           ++s.matches;
           match_rows.push_back(matchRow(item, entry, true, "shape",
@@ -403,7 +395,7 @@ void scanOne(const CorpusItem& item, std::size_t index, const KeyRing& ring,
         const wm::RegCertificate& cert = *entry.reg;
         const std::vector<wm::ShapeHit> hits = wm::scanShapeMatches(
             *deriver, entry.signature, cert.context, cert.locality_params,
-            cert.shape, sc.root_kind, candidates);
+            cert.shape, candidates);
         if (!hits.empty()) {
           ++s.matches;
           match_rows.push_back(matchRow(item, entry, true, "shape",
