@@ -7,7 +7,7 @@
 //   * Pc = 15/166 ≈ 0.09.
 //
 // We regenerate the same quantities on the reconstructed filter: the
-// subtree is enumerated under the *global* ASAP/ALAP windows of the whole
+// subtree is counted under the *global* ASAP/ALAP windows of the whole
 // design (that is what bounds the paper's counts to the hundreds), without
 // and with the five temporal edges.
 #include <cstdio>

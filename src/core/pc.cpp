@@ -24,7 +24,7 @@ PcEstimate exactSchedulingPc(const WatermarkCertificate& certificate,
 
   const sched::CountResult unconstrained = sched::countSchedules(shape, base);
   detail::check(unconstrained.exact,
-                "exactSchedulingPc: enumeration budget exceeded (ΨN)");
+                "exactSchedulingPc: count not exact (ΨN)");
   detail::check(unconstrained.count > 0,
                 "exactSchedulingPc: locality has no feasible schedule");
 
@@ -35,7 +35,7 @@ PcEstimate exactSchedulingPc(const WatermarkCertificate& certificate,
   }
   const sched::CountResult with = sched::countSchedules(shape, constrained);
   detail::check(with.exact,
-                "exactSchedulingPc: enumeration budget exceeded (ΨW)");
+                "exactSchedulingPc: count not exact (ΨW)");
 
   PcEstimate est;
   est.exact = true;
@@ -101,9 +101,9 @@ AggregatePc aggregateSchedulingPc(
     std::uint32_t deadline_slack, std::uint64_t max_steps) {
   AggregatePc agg;
   agg.per_certificate.resize(certificates.size());
-  // Each certificate's enumeration walks only its own shape, so they run
-  // in parallel; an over-budget enumeration skips that certificate rather
-  // than poisoning the aggregate.
+  // Each certificate's count walks only its own shape, so they run in
+  // parallel; a count that reaches its cell bound skips that certificate
+  // rather than poisoning the aggregate.
   rt::parallel_for(0, certificates.size(), /*grain=*/1, [&](std::size_t i) {
     try {
       agg.per_certificate[i] =

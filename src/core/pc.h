@@ -5,9 +5,10 @@
 // specification, produces a solution that happens to satisfy the
 // watermark's constraints.
 //
-//  * Scheduling, exact:      Pc = ΨW(T)/ΨN(T) — exhaustive schedule counts
-//    over the locality subgraph with and without the temporal edges
-//    (Fig. 3: 15/166).  Exponential; small localities only.
+//  * Scheduling, exact:      Pc = ΨW(T)/ΨN(T) — schedule counts over the
+//    locality subgraph with and without the temporal edges (Fig. 3:
+//    15/166), taken by variable elimination (sched/enumeration.h) in
+//    O(n·D^(w+1)) cells; milliseconds on carved localities.
 //  * Scheduling, approximate: Pc ≈ Π_i P[t_src < t_dst] with start times
 //    uniform over the operations' [asap, alap] windows (the paper assumes
 //    a Poisson spread and E[ΨW/ΨN] = 1/2; the window model subsumes that
@@ -32,7 +33,7 @@ namespace locwm::wm {
 /// A Pc estimate in log10 domain (pc = 10^log10_pc).
 struct PcEstimate {
   double log10_pc = 0;
-  /// True when computed by exhaustive enumeration.
+  /// True when computed from exact schedule counts.
   bool exact = false;
   /// Diagnostics for exact estimates: the two schedule counts.
   std::uint64_t schedules_unconstrained = 0;
@@ -43,11 +44,12 @@ struct PcEstimate {
   [[nodiscard]] double proofStrengthDigits() const { return -log10_pc; }
 };
 
-/// Exact Pc of a scheduling watermark by exhaustive enumeration over the
+/// Exact Pc of a scheduling watermark from the schedule counts of the
 /// locality subgraph (shape + rank constraints from the certificate).
 /// `deadline_slack` extra steps are granted beyond the locality's critical
 /// path, mirroring the scheduling freedom of the surrounding design.
-/// Throws Error when the enumeration budget is exceeded.
+/// `max_steps` bounds the table cells of each count; throws Error when a
+/// count reaches it or overflows.
 [[nodiscard]] PcEstimate exactSchedulingPc(
     const WatermarkCertificate& certificate, std::uint32_t deadline_slack = 1,
     std::uint64_t max_steps = 50'000'000);
@@ -56,20 +58,20 @@ struct PcEstimate {
 /// *product* of the per-certificate Pc values (the localities are
 /// disjoint by construction, so the coincidences are independent events).
 struct AggregatePc {
-  /// log10-sum of every successfully enumerated certificate, in
+  /// log10-sum of every successfully counted certificate, in
   /// certificate order.
   PcEstimate combined;
   /// Per-certificate estimates, aligned with the input; nullopt when that
-  /// certificate's enumeration exceeded the budget.
+  /// certificate's count reached the cell bound.
   std::vector<std::optional<PcEstimate>> per_certificate;
   /// Number of nullopt entries above.
   std::size_t failed = 0;
 };
 
-/// Exact Pc of each certificate (independent enumerations, computed in
-/// parallel) combined into one aggregate proof.  A certificate whose
-/// enumeration exceeds `max_steps` is skipped and counted in `failed`
-/// instead of aborting the whole aggregate.
+/// Exact Pc of each certificate (independent counts, computed in
+/// parallel) combined into one aggregate proof.  A certificate whose count
+/// reaches `max_steps` cells is skipped and counted in `failed` instead of
+/// aborting the whole aggregate.
 [[nodiscard]] AggregatePc aggregateSchedulingPc(
     const std::vector<WatermarkCertificate>& certificates,
     std::uint32_t deadline_slack = 1, std::uint64_t max_steps = 50'000'000);

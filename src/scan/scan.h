@@ -36,9 +36,9 @@ struct ScanOptions {
   /// unchanged designs skip re-fingerprinting — and skip parsing entirely
   /// when every pair is pruned.
   std::string cache_dir;
-  /// Enumeration budget for the aggregate Pc of fully-matched scheduling
-  /// certificates (smaller than the detect-CLI default: a corpus scan
-  /// ranks hits, it does not litigate them).
+  /// Cell bound of each schedule count for the aggregate Pc of
+  /// fully-matched scheduling certificates (smaller than the detect-CLI
+  /// default: a corpus scan ranks hits, it does not litigate them).
   std::uint64_t pc_max_steps = 200'000;
 };
 

@@ -1,13 +1,17 @@
-// Exhaustive schedule enumeration and counting.
+// Exact schedule counting, and exhaustive enumeration as its oracle.
 //
 // The paper's proof-of-authorship metric is a ratio of schedule counts:
 // Pc ≈ Π ΨW(e)/ΨN(e), where ΨW counts the schedules satisfying the added
-// temporal edge and ΨN counts all schedules (§IV-A, Fig. 3).  "Since the
-// exhaustive enumeration of solutions in general results in exponential
-// runtimes, we have used a trivial exhaustive enumeration technique to
-// calculate these probabilities only for small examples" — this module is
-// exactly that enumerator, with a work budget so callers can fall back to
-// the approximate model (core/pc.h) on large graphs.
+// temporal edge and ΨN counts all schedules (§IV-A, Fig. 3).  The paper
+// computed them "using a trivial exhaustive enumeration technique … only
+// for small examples".  countSchedules instead counts by variable
+// elimination: one variable per real operation over its start window, one
+// 0/1 factor per precedence, variables summed out in a deterministic
+// min-degree order.  That costs O(n·D^(w+1)) table cells for n operations,
+// window length D and elimination width w; carved localities are
+// near-trees, so w stays small and the count takes milliseconds.
+// enumerateSchedules keeps the backtracking enumerator for callers that
+// need the schedules themselves, and as the counter's test oracle.
 //
 // A "schedule" here assigns a start step in [0, deadline) to every real
 // operation such that all data/control (and optionally temporal) precedence
@@ -48,19 +52,26 @@ struct EnumerationOptions {
     std::uint32_t hi = 0;
   };
   std::vector<Window> windows;
-  /// Abort knob: maximum number of partial assignments explored.
+  /// Work bound.  countSchedules stops before an elimination step whose
+  /// table cells would take the total past it; enumerateSchedules stops
+  /// after this many partial assignments.
   std::uint64_t max_steps = 200'000'000;
 };
 
 /// Result of a counting run.
 struct CountResult {
   std::uint64_t count = 0;     ///< number of feasible schedules
-  bool exact = true;           ///< false when the work budget was hit
-  std::uint64_t steps = 0;     ///< search effort spent
+  /// False when the work bound was reached or the count does not fit in
+  /// 64 bits; `count` is then 0, not a bound.
+  bool exact = true;
+  std::uint64_t steps = 0;     ///< table cells evaluated
 };
 
-/// Counts feasible schedules.  Returns exact=false when max_steps was
-/// exhausted (count is then a lower bound).
+/// Counts feasible schedules exactly by variable elimination.  Returns
+/// exact=false when the next elimination step would evaluate more than
+/// max_steps cells in total, or when the count overflows.  Throws
+/// ScheduleError for a malformed window, an extra edge on a pseudo-op or
+/// a dependence cycle.
 [[nodiscard]] CountResult countSchedules(const cdfg::Cdfg& g,
                                          const EnumerationOptions& options = {});
 

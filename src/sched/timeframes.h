@@ -3,7 +3,7 @@
 // The watermarking protocol reasons about the "asap–alap lifetime" of every
 // operation (§IV-A): eligible watermark nodes must have overlapping
 // lifetimes with a partner and enough laxity.  The same frames drive the
-// force-directed scheduler and bound the exact schedule enumerator.
+// force-directed scheduler and bound the exact schedule counter.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,8 @@
 // Schedule-enumeration tests: exact counts on graphs small enough to
-// verify by hand, the Ψ pair semantics of Fig. 3, and budget behaviour.
+// verify by hand, the Ψ pair semantics of Fig. 3, and the work bound.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "sched/enumeration.h"
 #include "sched/schedule.h"
@@ -109,7 +111,21 @@ TEST(Enumeration, ExtraEdgeOnPseudoOpRejected) {
 }
 
 TEST(Enumeration, BudgetReportsInexact) {
-  const Cdfg g = independentOps(8);
+  // A dense precedence mesh: every op of one layer of 4 before every op of
+  // the next, so eliminating any op tabulates a scope of 4 neighbours.
+  Cdfg g;
+  const NodeId in = g.addNode(OpKind::kInput);
+  std::vector<NodeId> layer;
+  for (int i = 0; i < 4; ++i) {
+    layer.push_back(g.addNode(OpKind::kAdd));
+    g.addEdge(in, layer.back());
+  }
+  for (int i = 0; i < 4; ++i) {
+    const NodeId v = g.addNode(OpKind::kAdd);
+    for (const NodeId u : layer) {
+      g.addEdge(u, v);
+    }
+  }
   EnumerationOptions o;
   o.deadline = 8;
   o.max_steps = 100;
