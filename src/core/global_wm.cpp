@@ -10,33 +10,6 @@ namespace locwm::wm {
 
 using cdfg::NodeId;
 
-namespace {
-
-bool reachesGlobal(const cdfg::Cdfg& g, NodeId from, NodeId to) {
-  if (from == to) {
-    return true;
-  }
-  std::vector<bool> seen(g.nodeCount(), false);
-  std::vector<NodeId> stack{from};
-  seen[from.value()] = true;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const NodeId s : g.successors(v, /*includeTemporal=*/true)) {
-      if (s == to) {
-        return true;
-      }
-      if (!seen[s.value()]) {
-        seen[s.value()] = true;
-        stack.push_back(s);
-      }
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 std::optional<SchedEmbedResult> GlobalWatermarker::embed(
     cdfg::Cdfg& g, const GlobalWmParams& params) const {
   const std::string context = "global-wm";
@@ -47,9 +20,7 @@ std::optional<SchedEmbedResult> GlobalWatermarker::embed(
   }
 
   const sched::LatencyModel& lat = params.latency;
-  const std::uint32_t deadline = params.deadline.value_or(
-      sched::TimeFrames(g, lat, std::nullopt, true).criticalPathSteps());
-  sched::TimeFrames frames(g, lat, deadline, /*includeTemporal=*/true);
+  sched::TimeFrames frames(g, lat, params.deadline, /*includeTemporal=*/true);
 
   std::vector<std::uint32_t> eligible;
   for (std::uint32_t r = 0; r < loc->nodes.size(); ++r) {
@@ -66,35 +37,8 @@ std::optional<SchedEmbedResult> GlobalWatermarker::embed(
 
   crypto::KeyedBitstream bits(signature_, context + "/encode");
   SchedEmbedResult result;
-  std::vector<std::uint32_t> pool = eligible;
-  while (result.certificate.constraints.size() < k && !pool.empty()) {
-    const std::size_t idx = bits.below(pool.size());
-    const std::uint32_t r = pool[idx];
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
-    const NodeId ni = loc->nodes[r];
-    std::vector<std::uint32_t> partners;
-    for (const std::uint32_t other : eligible) {
-      if (other == r) {
-        continue;
-      }
-      const NodeId nk = loc->nodes[other];
-      if (!frames.lifetimesOverlap(ni, nk) ||
-          g.hasEdge(ni, nk, cdfg::EdgeKind::kTemporal) ||
-          reachesGlobal(g, nk, ni) || reachesGlobal(g, ni, nk) ||
-          frames.asap(ni) + 1 > frames.alap(nk)) {
-        continue;
-      }
-      partners.push_back(other);
-    }
-    if (partners.empty()) {
-      continue;
-    }
-    const std::uint32_t pick = partners[bits.below(partners.size())];
-    const NodeId nk = loc->nodes[pick];
-    result.added_edges.push_back(g.addEdge(ni, nk, cdfg::EdgeKind::kTemporal));
-    result.certificate.constraints.push_back(RankConstraint{r, pick});
-    frames = sched::TimeFrames(g, lat, deadline, /*includeTemporal=*/true);
-  }
+  encodeTemporalConstraints(g, lat, frames, loc->nodes, eligible, k, bits,
+                            result);
   if (result.certificate.constraints.empty()) {
     return std::nullopt;
   }

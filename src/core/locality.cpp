@@ -174,6 +174,36 @@ cdfg::Cdfg buildContracted(const cdfg::CsrView& view,
   return c;
 }
 
+/// The canonical ordering of a contracted identification context.
+/// Automorphic nodes (tied ranks) cannot be identified reproducibly on a
+/// re-indexed copy, so rank_of gives them kTied and the carve never
+/// selects them.
+struct RankedContext {
+  static constexpr std::uint32_t kTied = 0xFFFFFFFFu;
+  cdfg::StructuralAnalysis analysis;
+  /// Context nodes by ascending canonical rank.
+  std::vector<NodeId> ordered;
+  /// rank_of[context node value] = canonical rank, or kTied.
+  std::vector<std::uint32_t> rank_of;
+};
+
+RankedContext rankContext(const cdfg::Cdfg& context) {
+  RankedContext out{cdfg::StructuralAnalysis(context), {}, {}};
+  cdfg::NodeOrdering ordering = cdfg::computeOrdering(out.analysis);
+  out.rank_of.assign(context.nodeCount(), RankedContext::kTied);
+  for (std::size_t i = 0; i < ordering.ordered.size(); ++i) {
+    const bool tied_prev =
+        i > 0 && ordering.ranks[i] == ordering.ranks[i - 1];
+    const bool tied_next = i + 1 < ordering.ranks.size() &&
+                           ordering.ranks[i] == ordering.ranks[i + 1];
+    if (!tied_prev && !tied_next) {
+      out.rank_of[ordering.ordered[i].value()] = ordering.ranks[i];
+    }
+  }
+  out.ordered = std::move(ordering.ordered);
+  return out;
+}
+
 /// Real-operation successors with the same copy transparency.
 std::vector<NodeId> realSuccs(const cdfg::CsrView& v, NodeId n) {
   return realNeighbourWalk(v, n, [&](NodeId x) {
@@ -228,44 +258,40 @@ std::optional<Locality> LocalityDeriver::derive(
     return members;
   };
 
-  // --- Step 1a: the fanin tree To of max-distance Δ, real ops only — the
-  // set the carve may select from (the paper's To).
-  const std::vector<NodeId> to_nodes = ball(params.max_distance,
-                                            /*undirected=*/false);
-  if (to_nodes.size() < params.min_size) {
-    LOCWM_OBS_COUNT("core.locality.rejected", 1);
-    return std::nullopt;
-  }
-  // --- Step 1b: the *identification context*: the undirected ball of the
-  // same radius.  Fanin-only context cannot tell symmetric taps apart
-  // (their difference lies in who consumes them); the undirected ball is
-  // still root-anchored and structural, so the detector re-derives it
-  // identically.  Pseudo-ops (the design's port boundary) are never
-  // crossed, keeping the context invariant under host embedding.
-  const std::vector<NodeId> ctx_nodes = ball(params.max_distance,
-                                             /*undirected=*/true);
-
-  // --- Step 2: canonical ordering of the context's induced subgraph. ---
-  // Automorphic nodes (tied ranks) cannot be identified reproducibly on a
-  // re-indexed copy, so they are barred from the carve; the root itself
-  // must be uniquely identified.
-  cdfg::NodeMap to_map;  // graph -> contracted (context coordinates)
-  const cdfg::Cdfg to_graph = buildContracted(view, ctx_nodes, &to_map);
-  const cdfg::StructuralAnalysis to_analysis(to_graph);
-  const cdfg::NodeOrdering ordering = cdfg::computeOrdering(to_analysis);
-  // rank_of[induced node value] = canonical rank; kTied marks automorphic
-  // nodes excluded from the locality.
-  constexpr std::uint32_t kTied = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> rank_of(to_graph.nodeCount(), kTied);
-  for (std::size_t i = 0; i < ordering.ordered.size(); ++i) {
-    const bool tied_prev =
-        i > 0 && ordering.ranks[i] == ordering.ranks[i - 1];
-    const bool tied_next = i + 1 < ordering.ranks.size() &&
-                           ordering.ranks[i] == ordering.ranks[i + 1];
-    if (!tied_prev && !tied_next) {
-      rank_of[ordering.ordered[i].value()] = ordering.ranks[i];
+  std::vector<NodeId> to_nodes;
+  std::vector<NodeId> ctx_nodes;
+  {
+    LOCWM_OBS_SPAN("core.locality.derive.ball");
+    // --- Step 1a: the fanin tree To of max-distance Δ, real ops only —
+    // the set the carve may select from (the paper's To).
+    to_nodes = ball(params.max_distance, /*undirected=*/false);
+    if (to_nodes.size() < params.min_size) {
+      LOCWM_OBS_COUNT("core.locality.rejected", 1);
+      return std::nullopt;
     }
+    // --- Step 1b: the *identification context*: the undirected ball of
+    // the same radius.  Fanin-only context cannot tell symmetric taps
+    // apart (their difference lies in who consumes them); the undirected
+    // ball is still root-anchored and structural, so the detector
+    // re-derives it identically.  Pseudo-ops (the design's port boundary)
+    // are never crossed, keeping the context invariant under host
+    // embedding.
+    ctx_nodes = ball(params.max_distance, /*undirected=*/true);
   }
+
+  // --- Step 2: canonical ordering of the context's contracted graph; the
+  // root itself must be uniquely identified.
+  cdfg::NodeMap to_map;  // graph -> contracted (context coordinates)
+  const cdfg::Cdfg to_graph = [&] {
+    LOCWM_OBS_SPAN("core.locality.derive.contract");
+    return buildContracted(view, ctx_nodes, &to_map);
+  }();
+  const RankedContext ranked = [&] {
+    LOCWM_OBS_SPAN("core.locality.derive.order");
+    return rankContext(to_graph);
+  }();
+  const std::vector<std::uint32_t>& rank_of = ranked.rank_of;
+  constexpr std::uint32_t kTied = RankedContext::kTied;
   const NodeId root_in_to = to_map.at(root);
   if (rank_of[root_in_to.value()] == kTied) {
     LOCWM_OBS_COUNT("core.locality.rejected", 1);
@@ -273,6 +299,7 @@ std::optional<Locality> LocalityDeriver::derive(
   }
 
   // --- Step 3: keyed breadth-first carve of T ⊆ To. ---
+  LOCWM_OBS_SPAN("core.locality.derive.carve");
   std::vector<bool> in_to(to_graph.nodeCount(), false);
   for (const NodeId v : to_nodes) {
     in_to[to_map.at(v).value()] = true;
@@ -288,8 +315,9 @@ std::optional<Locality> LocalityDeriver::derive(
     });
     std::vector<NodeId> next;
     for (const NodeId v : frontier) {
-      // to_analysis already lowered the contracted graph — reuse its view.
-      std::vector<NodeId> preds = realPreds(to_analysis.csr(), v);
+      // The ordering's analysis already lowered the contracted graph —
+      // reuse its view.
+      std::vector<NodeId> preds = realPreds(ranked.analysis.csr(), v);
       // Only fanin-tree members are selectable, and automorphic
       // predecessors are invisible to the carve.
       std::erase_if(preds, [&](NodeId p) {
@@ -322,7 +350,7 @@ std::optional<Locality> LocalityDeriver::derive(
 
   // --- Step 4: assemble the locality in canonical-rank order. ---
   std::vector<NodeId> carved_local;  // induced-graph ids, by ascending rank
-  for (const NodeId v : ordering.ordered) {
+  for (const NodeId v : ranked.ordered) {
     if (carved[v.value()]) {
       carved_local.push_back(v);
     }
@@ -375,21 +403,16 @@ std::optional<Locality> LocalityDeriver::wholeDesign(
   }
   cdfg::NodeMap map;
   const cdfg::Cdfg sub = buildContracted(csr_, real, &map);
-  const cdfg::StructuralAnalysis analysis(sub);
-  const cdfg::NodeOrdering ordering = cdfg::computeOrdering(analysis);
+  const RankedContext ranked = rankContext(sub);
 
   std::unordered_map<NodeId, NodeId> inverse;  // induced -> graph
   for (const auto& [orig, local] : map) {
     inverse.emplace(local, orig);
   }
   std::vector<NodeId> untied_local;
-  for (std::size_t i = 0; i < ordering.ordered.size(); ++i) {
-    const bool tied_prev =
-        i > 0 && ordering.ranks[i] == ordering.ranks[i - 1];
-    const bool tied_next = i + 1 < ordering.ranks.size() &&
-                           ordering.ranks[i] == ordering.ranks[i + 1];
-    if (!tied_prev && !tied_next) {
-      untied_local.push_back(ordering.ordered[i]);
+  for (const NodeId v : ranked.ordered) {
+    if (ranked.rank_of[v.value()] != RankedContext::kTied) {
+      untied_local.push_back(v);
     }
   }
   if (untied_local.size() < minSize) {

@@ -16,37 +16,82 @@ using cdfg::NodeId;
 
 namespace {
 
-/// True when `to` is reachable from `from` over data/control/temporal
-/// edges.  Used to keep added temporal edges acyclic and non-vacuous.
-/// Queried between temporal-edge insertions, so it must read the live
-/// builder (a CSR snapshot would miss the edges just added); iterating
-/// outEdges() directly keeps it allocation-free per visited node where
-/// successors() built a vector each time.
-bool reaches(const cdfg::Cdfg& g, NodeId from, NodeId to) {
-  if (from == to) {
-    return true;
-  }
-  std::vector<bool> seen(g.nodeCount(), false);
-  std::vector<NodeId> stack{from};
-  seen[from.value()] = true;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const cdfg::EdgeId e : g.outEdges(v)) {
-      const NodeId s = g.edge(e).dst;
-      if (s == to) {
-        return true;
-      }
-      if (!seen[s.value()]) {
-        seen[s.value()] = true;
-        stack.push_back(s);
+/// Marks `from` and every node a path of live edges (temporal ones
+/// included) connects to it, in either direction: one descendant walk and
+/// one ancestor walk.  It reads the live builder, not a CSR snapshot, so
+/// the temporal edges committed a moment ago count.  In a DAG no ancestor
+/// is a descendant, so the two walks can share one mark vector.
+void markOrdered(const cdfg::Cdfg& g, NodeId from, std::vector<bool>& ordered) {
+  ordered.assign(g.nodeCount(), false);
+  ordered[from.value()] = true;
+  std::vector<NodeId> stack;
+  for (const bool forward : {true, false}) {
+    stack.push_back(from);
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      for (const cdfg::EdgeId e : forward ? g.outEdges(v) : g.inEdges(v)) {
+        const NodeId w = forward ? g.edge(e).dst : g.edge(e).src;
+        if (!ordered[w.value()]) {
+          ordered[w.value()] = true;
+          stack.push_back(w);
+        }
       }
     }
   }
-  return false;
 }
 
 }  // namespace
+
+void encodeTemporalConstraints(cdfg::Cdfg& g, const sched::LatencyModel& lat,
+                               sched::TimeFrames& frames,
+                               const std::vector<NodeId>& nodes,
+                               const std::vector<std::uint32_t>& eligible,
+                               std::size_t k, crypto::KeyedBitstream& bits,
+                               SchedEmbedResult& result) {
+  // T'' is a pseudorandomly ordered selection of source nodes; each source
+  // is paired with a pseudorandom overlapping partner from T' and a
+  // temporal edge is drawn.  Sources that have no usable partner are
+  // discarded and replaced from the remaining pool, so the watermark
+  // reaches K edges whenever the locality allows it.
+  std::vector<std::uint32_t> pool = eligible;
+  std::vector<bool> ordered;
+  while (result.certificate.constraints.size() < k && !pool.empty()) {
+    const std::size_t idx = bits.below(pool.size());
+    const std::uint32_t r = pool[idx];
+    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
+
+    // A partner may share a step with the source, and the deadline must
+    // stay attainable with the partner after it...
+    const NodeId ni = nodes[r];
+    std::vector<std::uint32_t> partners;
+    for (const std::uint32_t other : eligible) {
+      const NodeId nk = nodes[other];
+      if (other != r && frames.lifetimesOverlap(ni, nk) &&
+          frames.asap(ni) + 1 <= frames.alap(nk)) {
+        partners.push_back(other);
+      }
+    }
+    // ...and the edge must be new information: no order already implied
+    // in either direction (which also rules out a cycle).
+    if (!partners.empty()) {
+      markOrdered(g, ni, ordered);
+      std::erase_if(partners, [&](std::uint32_t other) {
+        return ordered[nodes[other].value()];
+      });
+    }
+    if (partners.empty()) {
+      continue;
+    }
+    const std::uint32_t pick = partners[bits.below(partners.size())];
+    const cdfg::EdgeId added =
+        g.addEdge(ni, nodes[pick], cdfg::EdgeKind::kTemporal);
+    result.added_edges.push_back(added);
+    result.certificate.constraints.push_back(RankConstraint{r, pick});
+    // Frames tighten with every committed constraint.
+    frames.addEdge(g, lat, added);
+  }
+}
 
 cdfg::Cdfg realizeWithDummyOps(const cdfg::Cdfg& marked,
                                std::vector<NodeId>* dummies) {
@@ -117,11 +162,27 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
     return std::nullopt;
   }
 
+  // Whole-design analyses, once per call.  An attempt that commits no
+  // temporal edge leaves `g` unchanged, and StructuralAnalysis ignores
+  // temporal edges anyway; only the frames move, re-timed per edge.
   const sched::LatencyModel& lat = params.latency;
-  const std::uint32_t deadline =
-      params.deadline.value_or(
-          sched::TimeFrames(g, lat, std::nullopt, /*includeTemporal=*/true)
-              .criticalPathSteps());
+  sched::TimeFrames frames = [&] {
+    LOCWM_OBS_SPAN("core.sched_wm.eligibility");
+    return sched::TimeFrames(g, lat, params.deadline, /*includeTemporal=*/true);
+  }();
+  const cdfg::StructuralAnalysis analysis = [&] {
+    LOCWM_OBS_SPAN("core.sched_wm.eligibility");
+    return cdfg::StructuralAnalysis(g);
+  }();
+  // The paper's laxity bound C·(1−α), and the deadline-relative fallback
+  // below: the node's mobility must retain an α share of the granted
+  // slack.
+  const double laxity_bound =
+      (1.0 - params.alpha) *
+      static_cast<double>(analysis.criticalPathLength());
+  const double slack_budget =
+      static_cast<double>(frames.deadline() - frames.criticalPathSteps());
+  const double mobility_floor = std::max(1.0, params.alpha * slack_budget);
 
   for (std::size_t attempt = 0; attempt < params.max_root_retries; ++attempt) {
     LOCWM_OBS_COUNT("core.sched_wm.roots_tried", 1);
@@ -137,44 +198,36 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
     // every selected node must sit a margin off the critical path.  We
     // apply that structural criterion first; on tightly serial designs it
     // can empty the pool (the whole locality is near-critical), in which
-    // case we fall back to a deadline-relative rule — the node's mobility
-    // must retain an α share of the granted slack — which still excludes
-    // the inflexible nodes while keeping such designs markable.  Either
-    // way each node additionally needs a lifetime-overlap partner among
-    // the eligible set.
-    sched::TimeFrames frames(g, lat, deadline, /*includeTemporal=*/true);
-    const cdfg::StructuralAnalysis analysis(g);
-    const double laxity_bound =
-        (1.0 - params.alpha) *
-        static_cast<double>(analysis.criticalPathLength());
-    const double slack_budget =
-        static_cast<double>(deadline - frames.criticalPathSteps());
-    const double mobility_floor = std::max(1.0, params.alpha * slack_budget);
+    // case we fall back to the deadline-relative rule, which still
+    // excludes the inflexible nodes while keeping such designs markable.
+    // Either way each node additionally needs a lifetime-overlap partner
+    // among the eligible set.
     std::vector<std::uint32_t> eligible_ranks;
-    for (std::uint32_t r = 0; r < loc->nodes.size(); ++r) {
-      const NodeId n = loc->nodes[r];
-      if (frames.mobility(n) >= 1 &&
-          static_cast<double>(analysis.laxity(n)) <= laxity_bound) {
-        eligible_ranks.push_back(r);
-      }
-    }
-    if (eligible_ranks.size() < params.min_eligible) {
-      eligible_ranks.clear();
+    {
+      LOCWM_OBS_SPAN("core.sched_wm.eligibility");
       for (std::uint32_t r = 0; r < loc->nodes.size(); ++r) {
         const NodeId n = loc->nodes[r];
-        if (static_cast<double>(frames.mobility(n)) >= mobility_floor) {
+        if (frames.mobility(n) >= 1 &&
+            static_cast<double>(analysis.laxity(n)) <= laxity_bound) {
           eligible_ranks.push_back(r);
         }
       }
-    }
-    {
+      if (eligible_ranks.size() < params.min_eligible) {
+        eligible_ranks.clear();
+        for (std::uint32_t r = 0; r < loc->nodes.size(); ++r) {
+          const NodeId n = loc->nodes[r];
+          if (static_cast<double>(frames.mobility(n)) >= mobility_floor) {
+            eligible_ranks.push_back(r);
+          }
+        }
+      }
       std::vector<std::uint32_t> with_partner;
       for (const std::uint32_t r : eligible_ranks) {
         const bool has_partner = std::any_of(
             eligible_ranks.begin(), eligible_ranks.end(),
             [&](std::uint32_t other) {
-              return other != r && frames.lifetimesOverlap(loc->nodes[r],
-                                                           loc->nodes[other]);
+              return other != r && frames.lifetimesOverlap(
+                                       loc->nodes[r], loc->nodes[other]);
             });
         if (has_partner) {
           with_partner.push_back(r);
@@ -192,52 +245,13 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
                    params.k_fraction *
                    static_cast<double>(eligible_ranks.size())))));
 
-    // Constraint encoding: T'' is a pseudorandomly ordered selection of
-    // source nodes; each source is paired with a pseudorandom overlapping
-    // partner from T' and a temporal edge is drawn.  Sources that have no
-    // usable partner are discarded and replaced from the remaining pool,
-    // so the watermark reaches K edges whenever the locality allows it.
     crypto::KeyedBitstream encode_bits(signature_, context + "/encode");
     SchedEmbedResult result;
     result.roots_tried = attempt + 1;
-    std::vector<std::uint32_t> pool = eligible_ranks;
-    while (result.certificate.constraints.size() < k && !pool.empty()) {
-      const std::size_t idx = encode_bits.below(pool.size());
-      const std::uint32_t r = pool[idx];
-      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
-
-      const NodeId ni = loc->nodes[r];
-      std::vector<std::uint32_t> partners;
-      for (const std::uint32_t other : eligible_ranks) {
-        if (other == r) {
-          continue;
-        }
-        const NodeId nk = loc->nodes[other];
-        if (!frames.lifetimesOverlap(ni, nk)) {
-          continue;
-        }
-        // The edge must be new information: no order already implied in
-        // either direction, and the deadline must stay attainable.
-        if (g.hasEdge(ni, nk, cdfg::EdgeKind::kTemporal) ||
-            reaches(g, nk, ni) || reaches(g, ni, nk)) {
-          continue;
-        }
-        if (frames.asap(ni) + 1 > frames.alap(nk)) {
-          continue;
-        }
-        partners.push_back(other);
-      }
-      if (partners.empty()) {
-        continue;
-      }
-      const std::uint32_t pick =
-          partners[encode_bits.below(partners.size())];
-      const NodeId nk = loc->nodes[pick];
-      result.added_edges.push_back(
-          g.addEdge(ni, nk, cdfg::EdgeKind::kTemporal));
-      result.certificate.constraints.push_back(RankConstraint{r, pick});
-      // Frames tighten with every committed constraint.
-      frames = sched::TimeFrames(g, lat, deadline, /*includeTemporal=*/true);
+    {
+      LOCWM_OBS_SPAN("core.sched_wm.encode");
+      encodeTemporalConstraints(g, lat, frames, loc->nodes, eligible_ranks,
+                                k, encode_bits, result);
     }
 
     if (result.certificate.constraints.empty()) {

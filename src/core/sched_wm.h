@@ -21,6 +21,7 @@
 #include "crypto/bitstream.h"
 #include "sched/latency.h"
 #include "sched/schedule.h"
+#include "sched/timeframes.h"
 
 namespace locwm::wm {
 
@@ -111,6 +112,21 @@ struct SchedDetectResult {
 /// still carries the watermark order.
 [[nodiscard]] cdfg::Cdfg stripRealizedDummies(
     const cdfg::Cdfg& realized, const std::vector<cdfg::NodeId>& dummies);
+
+/// The constraint encoding both scheduling embedders share (§IV-A).
+/// Draws sources from `eligible` (ranks into `nodes`) in keyed order and
+/// gives each a keyed partner whose lifetime overlaps the source's, that
+/// can still follow it within the deadline, and that no existing path
+/// orders against it.  Each pair becomes a temporal edge in `g` and a
+/// constraint in `result`; `frames` (built over `g` with temporal edges
+/// included) is re-timed after every edge.  Stops at `k` constraints or
+/// when the pool is spent.
+void encodeTemporalConstraints(cdfg::Cdfg& g, const sched::LatencyModel& lat,
+                               sched::TimeFrames& frames,
+                               const std::vector<cdfg::NodeId>& nodes,
+                               const std::vector<std::uint32_t>& eligible,
+                               std::size_t k, crypto::KeyedBitstream& bits,
+                               SchedEmbedResult& result);
 
 /// Embeds + detects scheduling watermarks for one author signature.
 class SchedulingWatermarker {

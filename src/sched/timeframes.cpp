@@ -9,9 +9,27 @@ namespace locwm::sched {
 using cdfg::EdgeId;
 using cdfg::NodeId;
 
+namespace {
+
+/// The gap an edge imposes on its endpoints' start steps, or nullopt when
+/// the frames ignore the edge (a temporal edge while includeTemporal is
+/// off).
+std::optional<std::uint32_t> consideredGap(const cdfg::Cdfg& g,
+                                           const LatencyModel& lat,
+                                           const cdfg::Edge& ed,
+                                           bool includeTemporal) {
+  if (ed.kind == cdfg::EdgeKind::kTemporal && !includeTemporal) {
+    return std::nullopt;
+  }
+  return lat.edgeGap(g.node(ed.src).kind, ed.kind);
+}
+
+}  // namespace
+
 TimeFrames::TimeFrames(const cdfg::Cdfg& g, const LatencyModel& lat,
                        std::optional<std::uint32_t> deadline,
-                       bool includeTemporal) {
+                       bool includeTemporal)
+    : include_temporal_(includeTemporal) {
   const std::size_t n = g.nodeCount();
   asap_.assign(n, 0);
   alap_.assign(n, 0);
@@ -23,11 +41,9 @@ TimeFrames::TimeFrames(const cdfg::Cdfg& g, const LatencyModel& lat,
     std::uint32_t earliest = 0;
     for (const EdgeId e : g.inEdges(v)) {
       const cdfg::Edge& ed = g.edge(e);
-      if (ed.kind == cdfg::EdgeKind::kTemporal && !includeTemporal) {
-        continue;
+      if (const auto gap = consideredGap(g, lat, ed, includeTemporal)) {
+        earliest = std::max(earliest, asap_[ed.src.value()] + *gap);
       }
-      const std::uint32_t gap = lat.edgeGap(g.node(ed.src).kind, ed.kind);
-      earliest = std::max(earliest, asap_[ed.src.value()] + gap);
     }
     asap_[v.value()] = earliest;
   }
@@ -52,14 +68,90 @@ TimeFrames::TimeFrames(const cdfg::Cdfg& g, const LatencyModel& lat,
     std::uint32_t latest = deadline_ - lat.latency(g.node(v).kind);
     for (const EdgeId e : g.outEdges(v)) {
       const cdfg::Edge& ed = g.edge(e);
-      if (ed.kind == cdfg::EdgeKind::kTemporal && !includeTemporal) {
-        continue;
+      if (const auto gap = consideredGap(g, lat, ed, includeTemporal)) {
+        const std::uint32_t succ_alap = alap_[ed.dst.value()];
+        latest = std::min(latest, succ_alap >= *gap ? succ_alap - *gap : 0u);
       }
-      const std::uint32_t gap = lat.edgeGap(g.node(v).kind, ed.kind);
-      const std::uint32_t succ_alap = alap_[ed.dst.value()];
-      latest = std::min(latest, succ_alap >= gap ? succ_alap - gap : 0u);
     }
     alap_[v.value()] = latest;
+  }
+}
+
+void TimeFrames::addEdge(const cdfg::Cdfg& g, const LatencyModel& lat,
+                         EdgeId e) {
+  const cdfg::Edge& added = g.edge(e);
+  const std::optional<std::uint32_t> added_gap =
+      consideredGap(g, lat, added, include_temporal_);
+  if (!added_gap) {
+    return;
+  }
+  // The frames are longest-path bounds, and an added edge only adds a
+  // constraint, so the old frames bound the new ones: ASAP can only rise
+  // and ALAP only fall.  Relaxing in FIFO order from the edge reaches the
+  // values a rebuild computes while visiting only the nodes that move.
+  std::vector<NodeId> queue;
+  std::vector<bool> queued(g.nodeCount(), false);
+  const auto enqueue = [&](NodeId v) {
+    if (!queued[v.value()]) {
+      queued[v.value()] = true;
+      queue.push_back(v);
+    }
+  };
+
+  // Forward into a copy, so a deadline violation leaves *this unchanged.
+  // Checking each raised node bounds the walk even if `g` were cyclic.
+  std::vector<std::uint32_t> asap = asap_;
+  std::uint32_t critical = critical_;
+  const auto raise = [&](NodeId v, std::uint32_t start) {
+    if (start <= asap[v.value()]) {
+      return;
+    }
+    asap[v.value()] = start;
+    const std::uint32_t finish = start + lat.latency(g.node(v).kind);
+    if (finish > deadline_) {
+      throw ScheduleError("TimeFrames: edge " +
+                          std::to_string(added.src.value()) + " -> " +
+                          std::to_string(added.dst.value()) +
+                          " pushes the critical path past deadline " +
+                          std::to_string(deadline_));
+    }
+    critical = std::max(critical, finish);
+    enqueue(v);
+  };
+  raise(added.dst, asap[added.src.value()] + *added_gap);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    queued[v.value()] = false;
+    for (const EdgeId out : g.outEdges(v)) {
+      const cdfg::Edge& ed = g.edge(out);
+      if (const auto gap = consideredGap(g, lat, ed, include_temporal_)) {
+        raise(ed.dst, asap[v.value()] + *gap);
+      }
+    }
+  }
+  asap_ = std::move(asap);
+  critical_ = critical;
+
+  // Backward: ALAP never fails once the deadline holds.
+  queue.clear();
+  const auto lower = [&](NodeId v, std::uint32_t succ_alap,
+                         std::uint32_t gap) {
+    const std::uint32_t latest = succ_alap >= gap ? succ_alap - gap : 0u;
+    if (latest < alap_[v.value()]) {
+      alap_[v.value()] = latest;
+      enqueue(v);
+    }
+  };
+  lower(added.src, alap_[added.dst.value()], *added_gap);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    queued[v.value()] = false;
+    for (const EdgeId in : g.inEdges(v)) {
+      const cdfg::Edge& ed = g.edge(in);
+      if (const auto gap = consideredGap(g, lat, ed, include_temporal_)) {
+        lower(ed.src, alap_[v.value()], *gap);
+      }
+    }
   }
 }
 

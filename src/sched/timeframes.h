@@ -33,6 +33,16 @@ class TimeFrames {
              std::optional<std::uint32_t> deadline = std::nullopt,
              bool includeTemporal = true);
 
+  /// Re-times the frames in place after edge `e` was added to `g`: the
+  /// result equals a fresh construction over `g` with the same latency
+  /// model, deadline() and includeTemporal.  Only the nodes whose frame
+  /// actually moves are visited — ASAP rises forward from the edge's head,
+  /// ALAP falls backward from its tail.  `g` must stay acyclic.
+  ///
+  /// Throws the constructor's ScheduleError, leaving the frames unchanged,
+  /// when the edge pushes the critical path past deadline().
+  void addEdge(const cdfg::Cdfg& g, const LatencyModel& lat, cdfg::EdgeId e);
+
   [[nodiscard]] std::uint32_t asap(cdfg::NodeId n) const;
   [[nodiscard]] std::uint32_t alap(cdfg::NodeId n) const;
 
@@ -58,6 +68,7 @@ class TimeFrames {
   std::vector<std::uint32_t> alap_;
   std::uint32_t deadline_ = 0;
   std::uint32_t critical_ = 0;
+  bool include_temporal_ = true;
 };
 
 }  // namespace locwm::sched

@@ -2,6 +2,10 @@
 // three schedulers (list, force-directed, branch-and-bound).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <vector>
+
 #include "cdfg/random_dfg.h"
 #include "sched/bb_scheduler.h"
 #include "sched/force_directed.h"
@@ -148,6 +152,90 @@ TEST(TimeFrames, TemporalEdgesTightenWhenIncluded) {
   const TimeFrames with(g, LatencyModel::unit(), 3u, true);
   const TimeFrames without(g, LatencyModel::unit(), 3u, false);
   EXPECT_LE(with.alap(g.findByName("d")), without.alap(g.findByName("d")));
+}
+
+/// Every frame value of `tf` over `g`, then the critical path: equal
+/// vectors mean equal frames.
+std::vector<std::uint32_t> frameValues(const Cdfg& g, const TimeFrames& tf) {
+  std::vector<std::uint32_t> out;
+  for (const NodeId v : g.allNodes()) {
+    out.push_back(tf.asap(v));
+    out.push_back(tf.alap(v));
+  }
+  out.push_back(tf.criticalPathSteps());
+  return out;
+}
+
+TEST(TimeFrames, AddEdgeMatchesRebuild) {
+  // Full construction is the oracle for in-place re-timing: random DAGs,
+  // unit and HYPER latencies, deadlines CP..CP+3, with and without
+  // temporal edges, random acyclic temporal and data edges added one at
+  // a time.
+  std::size_t matched = 0;
+  std::size_t ignored = 0;
+  std::size_t refused = 0;
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    cdfg::RandomDfgOptions opt;
+    opt.operations = 40;
+    const Cdfg original = cdfg::randomDfg(opt, seed);
+    for (const LatencyModel& lat :
+         {LatencyModel::unit(), LatencyModel::hyperDefault()}) {
+      const std::uint32_t cp = TimeFrames(original, lat).criticalPathSteps();
+      for (std::uint32_t slack = 0; slack <= 3; ++slack) {
+        for (const bool include_temporal : {true, false}) {
+          Cdfg g = original;
+          TimeFrames tf(g, lat, cp + slack, include_temporal);
+          std::mt19937_64 rng(seed * 131 + slack * 7 +
+                              (include_temporal ? 1 : 0));
+          std::uniform_int_distribution<std::size_t> pick(
+              0, g.nodeCount() - 1);
+          for (int trial = 0; trial < 60; ++trial) {
+            const NodeId a(static_cast<NodeId::value_type>(pick(rng)));
+            const NodeId b(static_cast<NodeId::value_type>(pick(rng)));
+            const EdgeKind kind =
+                (rng() & 1) != 0 ? EdgeKind::kTemporal : EdgeKind::kData;
+            if (a == b || (kind == EdgeKind::kTemporal &&
+                           g.hasEdge(a, b, EdgeKind::kTemporal))) {
+              continue;
+            }
+            const cdfg::EdgeId e = g.addEdge(a, b, kind);
+            try {
+              g.checkAcyclic();
+            } catch (const GraphError&) {
+              g.removeEdge(e);
+              continue;
+            }
+            const std::vector<std::uint32_t> before = frameValues(g, tf);
+            std::optional<TimeFrames> fresh;
+            try {
+              fresh.emplace(g, lat, tf.deadline(), include_temporal);
+            } catch (const ScheduleError&) {
+              // Past the deadline: addEdge throws like the constructor and
+              // leaves the frames as they were.
+              EXPECT_THROW(tf.addEdge(g, lat, e), ScheduleError);
+              EXPECT_EQ(frameValues(g, tf), before);
+              g.removeEdge(e);
+              ++refused;
+              continue;
+            }
+            tf.addEdge(g, lat, e);
+            ASSERT_EQ(frameValues(g, tf), frameValues(g, *fresh))
+                << "seed " << seed << " slack " << slack << " trial "
+                << trial;
+            if (kind == EdgeKind::kTemporal && !include_temporal) {
+              EXPECT_EQ(frameValues(g, tf), before);
+              ++ignored;
+            } else {
+              ++matched;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(matched, 500u);
+  EXPECT_GT(ignored, 100u);
+  EXPECT_GT(refused, 50u);
 }
 
 TEST(ListScheduler, ValidOnRandomGraphs) {
