@@ -64,7 +64,6 @@ CONFIG = {
             "edges": {"kind": "exact"},
             "csr_bytes_per_node": {"kind": "exact"},
             "reach_converged": {"kind": "exact"},
-            "slack_converged": {"kind": "exact"},
             "semantic_findings": {"kind": "exact"},
             "lint_findings": {"kind": "exact"},
             "p50_ms": {"kind": "lower_better", "tol": WALL_TOL},

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace locwm {
 
@@ -46,11 +47,13 @@ class WatermarkError : public Error {
 namespace detail {
 
 /// Throws E(message) when `condition` is false.  Used instead of assert so
-/// that release builds keep the checks that guard API contracts.
+/// that release builds keep the checks that guard API contracts.  The
+/// message is a view so that a passing check on a hot accessor allocates
+/// nothing; the owning string is built only on the throw path.
 template <typename E = Error>
-inline void check(bool condition, const std::string& message) {
+inline void check(bool condition, std::string_view message) {
   if (!condition) {
-    throw E(message);
+    throw E(std::string(message));
   }
 }
 

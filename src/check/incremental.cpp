@@ -9,6 +9,7 @@
 #include "cdfg/operation.h"
 #include "check/internal.h"
 #include "rt/rt.h"
+#include "sched/timeframes.h"
 
 namespace locwm::check::delta {
 
@@ -214,12 +215,15 @@ void IncrementalAnalysis::fullRebuild() {
                                             EdgeMask::dataControl())
                             .domain.mark);
 
-  SlackAnalysis slack = computeSlack(view, lat_, std::nullopt,
-                                     EdgeMask::dataControl());
-  asap_ = std::move(slack.asap);
-  alap_ = std::move(slack.alap);
-  critical_ = slack.critical;
-  deadline_ = slack.deadline;
+  const sched::TimeFrames frames(view, lat_, std::nullopt,
+                                 /*includeTemporal=*/false);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId v(static_cast<std::uint32_t>(i));
+    asap_[i] = frames.asap(v);
+    alap_[i] = frames.alap(v);
+  }
+  critical_ = frames.criticalPathSteps();
+  deadline_ = frames.deadline();
 
   const std::vector<EdgeId>& temporal = temporal_;
   rt::parallel_for(0, temporal.size(), /*grain=*/1, [&](std::size_t i) {

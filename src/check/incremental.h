@@ -53,6 +53,7 @@
 #include "cdfg/ids.h"
 #include "check/dataflow.h"
 #include "check/diagnostics.h"
+#include "sched/latency.h"
 
 namespace locwm::check::delta {
 

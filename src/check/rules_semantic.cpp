@@ -3,8 +3,8 @@
 // edge redundant once *all* constraints are considered?), scheduling slack
 // (does an edge stretch the dependence-only critical path?), and
 // reachability/liveness (does an operation contribute to any output?).
-// All of them are instantiations of the worklist dataflow engine in
-// check/dataflow.h.
+// Precedence and liveness are instantiations of the worklist dataflow
+// engine in check/dataflow.h; slack reads sched::TimeFrames.
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,6 +14,8 @@
 #include "check/internal.h"
 #include "check/rules.h"
 #include "rt/rt.h"
+#include "sched/latency.h"
+#include "sched/timeframes.h"
 
 namespace locwm::check {
 namespace {
@@ -88,16 +90,12 @@ void checkStretchingTemporal(Report& r, const cdfg::Cdfg& g,
   if (g.temporalEdges().empty()) {
     return;
   }
-  const SlackAnalysis slack =
-      computeSlack(view, sched::LatencyModel::unit(), std::nullopt,
-                   EdgeMask::dataControl());
-  if (!slack.converged()) {
-    return;
-  }
+  const sched::TimeFrames frames(view, sched::LatencyModel::unit(),
+                                 std::nullopt, /*includeTemporal=*/false);
   for (const cdfg::EdgeId te : g.temporalEdges()) {
     const cdfg::Edge& e = g.edge(te);
-    if (slack.asap[e.src.value()] + 1 > slack.alap[e.dst.value()]) {
-      r.add(detail::lw602Diag(artifact, e, slack.critical));
+    if (frames.asap(e.src) + 1 > frames.alap(e.dst)) {
+      r.add(detail::lw602Diag(artifact, e, frames.criticalPathSteps()));
     }
   }
 }

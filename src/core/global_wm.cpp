@@ -20,7 +20,8 @@ std::optional<SchedEmbedResult> GlobalWatermarker::embed(
   }
 
   const sched::LatencyModel& lat = params.latency;
-  sched::TimeFrames frames(g, lat, params.deadline, /*includeTemporal=*/true);
+  sched::TimeFrames frames(deriver.csr(), lat, params.deadline,
+                           /*includeTemporal=*/true);
 
   std::vector<std::uint32_t> eligible;
   for (std::uint32_t r = 0; r < loc->nodes.size(); ++r) {

@@ -164,11 +164,14 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
 
   // Whole-design analyses, once per call.  An attempt that commits no
   // temporal edge leaves `g` unchanged, and StructuralAnalysis ignores
-  // temporal edges anyway; only the frames move, re-timed per edge.
+  // temporal edges anyway; only the frames move, re-timed per edge.  The
+  // frames read the deriver's snapshot of `g`, taken before any edge of
+  // this call was added.
   const sched::LatencyModel& lat = params.latency;
   sched::TimeFrames frames = [&] {
     LOCWM_OBS_SPAN("core.sched_wm.eligibility");
-    return sched::TimeFrames(g, lat, params.deadline, /*includeTemporal=*/true);
+    return sched::TimeFrames(deriver.csr(), lat, params.deadline,
+                             /*includeTemporal=*/true);
   }();
   const cdfg::StructuralAnalysis analysis = [&] {
     LOCWM_OBS_SPAN("core.sched_wm.eligibility");

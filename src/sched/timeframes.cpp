@@ -1,6 +1,8 @@
 #include "sched/timeframes.h"
 
 #include <algorithm>
+#include <span>
+#include <string>
 
 #include "cdfg/error.h"
 
@@ -29,51 +31,85 @@ std::optional<std::uint32_t> consideredGap(const cdfg::Cdfg& g,
 TimeFrames::TimeFrames(const cdfg::Cdfg& g, const LatencyModel& lat,
                        std::optional<std::uint32_t> deadline,
                        bool includeTemporal)
+    : TimeFrames(cdfg::CsrView(g), lat, deadline, includeTemporal) {}
+
+TimeFrames::TimeFrames(const cdfg::CsrView& v, const LatencyModel& lat,
+                       std::optional<std::uint32_t> deadline,
+                       bool includeTemporal)
     : include_temporal_(includeTemporal) {
-  const std::size_t n = g.nodeCount();
+  const std::size_t n = v.nodeCount();
   asap_.assign(n, 0);
   alap_.assign(n, 0);
+  const cdfg::EdgeSel sel =
+      includeTemporal ? cdfg::EdgeSel::kAll : cdfg::EdgeSel::kDataControl;
+  // Data and control edges both hold their head back by the tail's latency
+  // (LatencyModel::edgeGap), so each node walks one kDataControl span with
+  // that gap and, when temporal edges count, one kTemporal span.
+  const auto temporalGap = [&](NodeId u) {
+    return lat.edgeGap(v.kind(u), cdfg::EdgeKind::kTemporal);
+  };
 
-  const std::vector<NodeId> topo = g.topologicalOrder(includeTemporal);
-
-  // Forward pass: ASAP start times.
-  for (const NodeId v : topo) {
-    std::uint32_t earliest = 0;
-    for (const EdgeId e : g.inEdges(v)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (const auto gap = consideredGap(g, lat, ed, includeTemporal)) {
-        earliest = std::max(earliest, asap_[ed.src.value()] + *gap);
+  // Forward pass fused with Kahn's algorithm: a node is queued only after
+  // every considered predecessor has relaxed into it, so its ASAP start is
+  // final when it is dequeued and is pushed on to its successors at once.
+  std::vector<std::uint32_t> pending(n);
+  std::vector<NodeId> order;
+  order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId u(static_cast<std::uint32_t>(i));
+    pending[i] = static_cast<std::uint32_t>(v.inDegree(u, sel));
+    if (pending[i] == 0) {
+      order.push_back(u);
+    }
+  }
+  const auto relax = [&](std::span<const NodeId> succs, std::uint32_t start) {
+    for (const NodeId d : succs) {
+      asap_[d.value()] = std::max(asap_[d.value()], start);
+      if (--pending[d.value()] == 0) {
+        order.push_back(d);
       }
     }
-    asap_[v.value()] = earliest;
+  };
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NodeId u = order[head];
+    const std::uint32_t start = asap_[u.value()];
+    const std::uint32_t latency = lat.latency(v.kind(u));
+    // Critical path in steps: the earliest finish over all nodes.
+    critical_ = std::max(critical_, start + latency);
+    relax(v.successors(u, cdfg::EdgeSel::kDataControl), start + latency);
+    if (includeTemporal) {
+      relax(v.successors(u, cdfg::EdgeSel::kTemporal), start + temporalGap(u));
+    }
   }
-
-  // Critical path in steps: the earliest finish over all nodes.
-  critical_ = 0;
-  for (const NodeId v : topo) {
-    critical_ = std::max(critical_,
-                         asap_[v.value()] + lat.latency(g.node(v).kind));
-  }
+  detail::check<GraphError>(order.size() == n,
+                            "CDFG contains a dependence cycle");
 
   deadline_ = deadline.value_or(critical_);
-  detail::check<ScheduleError>(
-      deadline_ >= critical_,
-      "TimeFrames: deadline " + std::to_string(deadline_) +
-          " below critical path " + std::to_string(critical_));
+  if (deadline_ < critical_) {
+    throw ScheduleError("TimeFrames: deadline " + std::to_string(deadline_) +
+                        " below critical path " + std::to_string(critical_));
+  }
 
   // Backward pass: ALAP start times.  A node with no (considered)
   // successors may start as late as deadline - latency.
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId v = *it;
-    std::uint32_t latest = deadline_ - lat.latency(g.node(v).kind);
-    for (const EdgeId e : g.outEdges(v)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (const auto gap = consideredGap(g, lat, ed, includeTemporal)) {
-        const std::uint32_t succ_alap = alap_[ed.dst.value()];
-        latest = std::min(latest, succ_alap >= *gap ? succ_alap - *gap : 0u);
-      }
+  const auto bound = [&](std::span<const NodeId> succs, std::uint32_t gap,
+                         std::uint32_t latest) {
+    for (const NodeId d : succs) {
+      const std::uint32_t succ_alap = alap_[d.value()];
+      latest = std::min(latest, succ_alap >= gap ? succ_alap - gap : 0u);
     }
-    alap_[v.value()] = latest;
+    return latest;
+  };
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const NodeId u = *it;
+    const std::uint32_t latency = lat.latency(v.kind(u));
+    std::uint32_t latest = bound(v.successors(u, cdfg::EdgeSel::kDataControl),
+                                 latency, deadline_ - latency);
+    if (includeTemporal) {
+      latest = bound(v.successors(u, cdfg::EdgeSel::kTemporal), temporalGap(u),
+                     latest);
+    }
+    alap_[u.value()] = latest;
   }
 }
 

@@ -3,13 +3,17 @@
 // The watermarking protocol reasons about the "asap–alap lifetime" of every
 // operation (§IV-A): eligible watermark nodes must have overlapping
 // lifetimes with a partner and enough laxity.  The same frames drive the
-// force-directed scheduler and bound the exact schedule counter.
+// force-directed scheduler, bound the exact schedule counter, and feed the
+// LW602 stretch rule and the incremental analyser.  This is the project's
+// one ASAP/ALAP construction: a single topological pass over a
+// cdfg::CsrView (the builder constructor lowers a view and delegates).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "cdfg/csr.h"
 #include "cdfg/graph.h"
 #include "sched/latency.h"
 #include "sched/schedule.h"
@@ -19,8 +23,9 @@ namespace locwm::sched {
 /// Per-node [asap, alap] start-step intervals under a deadline.
 class TimeFrames {
  public:
-  /// Computes frames for `g` under latency model `lat` and `deadline`
-  /// control steps (the schedule must fit in steps [0, deadline)).
+  /// Computes frames for the graph `v` snapshots under latency model `lat`
+  /// and `deadline` control steps (the schedule must fit in steps
+  /// [0, deadline)).
   ///
   /// When `deadline` is nullopt the critical-path length is used, i.e. the
   /// tightest feasible deadline.  `includeTemporal` controls whether
@@ -28,7 +33,12 @@ class TimeFrames {
   /// frames on the *original* constraints, scheduling afterwards on the
   /// augmented ones.
   ///
-  /// Throws ScheduleError when `deadline` is below the critical path.
+  /// Throws GraphError when the considered edges form a cycle, and
+  /// ScheduleError when `deadline` is below the critical path.
+  TimeFrames(const cdfg::CsrView& v, const LatencyModel& lat,
+             std::optional<std::uint32_t> deadline, bool includeTemporal);
+
+  /// Same frames over a builder: lowers `g` once and delegates.
   TimeFrames(const cdfg::Cdfg& g, const LatencyModel& lat,
              std::optional<std::uint32_t> deadline = std::nullopt,
              bool includeTemporal = true);

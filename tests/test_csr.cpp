@@ -2,16 +2,17 @@
 // oracle against the Cdfg builder it is lowered from (every node, every
 // selector, on random DFGs with temporal edges, parallel-edge and
 // post-stripTemporalEdges graphs), edge-id/neighbour span alignment,
-// empty/degenerate inputs, and the determinism pin — the CSR-backed
-// analyses (closure, reachability, slack, semantic rules, watermark
-// detection) must reproduce the builder-path results byte-identically
-// at 1, 2, and 8 runtime lanes.
+// empty/degenerate inputs, the CSR analyses against independent oracles,
+// and the determinism pin — the CSR-backed analyses (closure,
+// reachability, time frames, semantic rules, watermark detection) must
+// produce byte-identical results at 1, 2, and 8 runtime lanes.
 //
 // Self-loops are absent by construction: Cdfg::addEdge rejects
 // src == dst (pinned below), so the view never has to represent one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,8 @@
 #include "sched/list_scheduler.h"
 #include "sched/schedule_io.h"
 #include "sched/timeframes.h"
+
+#include "longest_path_oracle.h"
 
 namespace {
 
@@ -225,25 +228,27 @@ TEST(Csr, MemoryAccountingMatchesArenaFormula) {
 }
 
 // ---------------------------------------------------------------------------
-// Analysis equivalence: the CSR overloads must reproduce the builder
-// path exactly (closure precedes-matrix, reachability marks, slack
-// windows, path queries).
+// The CSR analyses against independent oracles: the closure and the
+// reachability marks against per-query DFS, the skip-one-edge DFS against
+// a closure over a copy with that edge removed, and the time frames
+// against the Bellman–Ford longest-path oracle.
 
-TEST(Csr, AnalysesMatchBuilderPath) {
+TEST(Csr, AnalysesMatchIndependentOracles) {
   for (const std::uint64_t seed : {21u, 22u}) {
     cdfg::Cdfg g = smallRandomDfg(seed, 120);
     addTemporalEdges(g, 10, seed);
     const CsrView view(g);
     const std::size_t n = g.nodeCount();
 
-    const auto closure_b = check::computePrecedenceClosure(g);
-    const auto closure_v = check::computePrecedenceClosure(view);
+    const auto closure = check::computePrecedenceClosure(view);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         const NodeId a(static_cast<std::uint32_t>(i));
         const NodeId b(static_cast<std::uint32_t>(j));
-        ASSERT_EQ(closure_v.precedes(a, b), closure_b.precedes(a, b))
-            << i << " -> " << j;
+        if (i != j) {
+          ASSERT_EQ(closure.precedes(a, b), check::hasPathSkipping(view, a, b))
+              << i << " -> " << j;
+        }
       }
     }
 
@@ -253,30 +258,43 @@ TEST(Csr, AnalysesMatchBuilderPath) {
         sources.push_back(v);
       }
     }
-    const auto reach_b =
-        check::computeReachability(g, sources, check::Direction::kForward);
-    const auto reach_v =
+    const auto reach =
         check::computeReachability(view, sources, check::Direction::kForward);
-    EXPECT_EQ(reach_v.domain.mark, reach_b.domain.mark);
-
-    const auto slack_b = check::computeSlack(g, sched::LatencyModel::unit());
-    const auto slack_v =
-        check::computeSlack(view, sched::LatencyModel::unit());
-    EXPECT_EQ(slack_v.asap, slack_b.asap);
-    EXPECT_EQ(slack_v.alap, slack_b.alap);
-    EXPECT_EQ(slack_v.critical, slack_b.critical);
-    EXPECT_EQ(slack_v.deadline, slack_b.deadline);
+    for (const NodeId v : g.allNodes()) {
+      bool reached = false;
+      for (const NodeId s : sources) {
+        reached = reached || check::hasPathSkipping(
+                                 view, s, v, EdgeId::invalid(),
+                                 check::EdgeMask::dataControl());
+      }
+      ASSERT_EQ(reach.reached(v), reached) << "node " << v.value();
+    }
 
     cdfg::SplitMix64 rng(seed * 31);
     for (std::size_t q = 0; q < 64; ++q) {
       const NodeId from(static_cast<std::uint32_t>(rng.below(n)));
       const NodeId to(static_cast<std::uint32_t>(rng.below(n)));
       const EdgeId skip(static_cast<std::uint32_t>(rng.below(g.edgeCount())));
-      ASSERT_EQ(
-          check::hasPathSkipping(view, from, to, skip,
-                                 check::EdgeMask::dataControl()),
-          check::hasPathSkipping(g, from, to, skip,
-                                 check::EdgeMask::dataControl()));
+      cdfg::Cdfg without = g;
+      without.removeEdge(skip);
+      const auto rest = check::computePrecedenceClosure(
+          CsrView(without), check::EdgeMask::dataControl());
+      ASSERT_EQ(check::hasPathSkipping(view, from, to, skip,
+                                       check::EdgeMask::dataControl()),
+                from == to || rest.precedes(from, to))
+          << from.value() << " -> " << to.value() << " skipping "
+          << skip.value();
+    }
+
+    const locwm::testing::LongestPathFrames oracle =
+        locwm::testing::longestPathFrames(g, sched::LatencyModel::unit(),
+                                          std::nullopt, true);
+    const sched::TimeFrames frames(view, sched::LatencyModel::unit(),
+                                   std::nullopt, true);
+    EXPECT_EQ(frames.criticalPathSteps(), oracle.critical);
+    for (const NodeId v : g.allNodes()) {
+      ASSERT_EQ(frames.asap(v), oracle.asap[v.value()]) << v.value();
+      ASSERT_EQ(frames.alap(v), oracle.alap[v.value()]) << v.value();
     }
   }
 }
@@ -309,7 +327,7 @@ std::string csrPipelineDigest(std::uint64_t seed) {
   digest += "|det:" + std::to_string(det.found) + "/" +
             std::to_string(det.satisfied) + "/" + std::to_string(det.total);
 
-  // Semantic rules over the marked graph (closure/reach/slack on CSR).
+  // Semantic rules over the marked graph (closure/reach/frames on CSR).
   digest += "|sem:" + check::checkSemantics(g, "pin").renderText();
 
   // CSR closure reachable-pair count (exercises the parallel Kahn path).

@@ -1,16 +1,20 @@
 // Dataflow engine (check/dataflow.h) and differential verifier
 // (check/differ.h): fixpoint properties on random DFGs (closure vs DFS
-// oracle, idempotence, monotonicity), SlackAnalysis equivalence with the
-// pinned sched::TimeFrames, liveness/reachability on handcrafted graphs,
-// cyclic-input degradation, and the diff-vs-mutation matrix — every
-// core/attack.h structural mutation must surface as an LW7xx error.
+// oracle, idempotence, monotonicity), liveness/reachability on handcrafted
+// graphs, cyclic-input degradation, and the diff-vs-mutation matrix —
+// every core/attack.h structural mutation must surface as an LW7xx error.
+// The analyses run on cdfg::CsrView snapshots; ASAP/ALAP timing is
+// sched::TimeFrames, tested in test_sched.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cdfg/csr.h"
+#include "cdfg/error.h"
 #include "cdfg/graph.h"
 #include "cdfg/prng.h"
 #include "cdfg/random_dfg.h"
@@ -59,14 +63,15 @@ TEST(Dataflow, ClosureMatchesDfsOracleOnRandomDfgs) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     cdfg::Cdfg g = smallRandomDfg(seed);
     addTemporalEdges(g, 6, seed * 77);
-    const auto closure = check::computePrecedenceClosure(g);
+    const cdfg::CsrView view(g);
+    const auto closure = check::computePrecedenceClosure(view);
     ASSERT_TRUE(closure.stats.converged);
     for (const cdfg::NodeId a : g.allNodes()) {
       for (const cdfg::NodeId b : g.allNodes()) {
         if (a == b) {
           continue;
         }
-        EXPECT_EQ(closure.precedes(a, b), check::hasPathSkipping(g, a, b))
+        EXPECT_EQ(closure.precedes(a, b), check::hasPathSkipping(view, a, b))
             << "seed " << seed << ": " << a.value() << " -> " << b.value();
       }
     }
@@ -80,9 +85,11 @@ TEST(Dataflow, ClosureRespectsEdgeMask) {
   const auto c = g.addNode(cdfg::OpKind::kAdd);
   g.addEdge(a, b, cdfg::EdgeKind::kData);
   g.addEdge(b, c, cdfg::EdgeKind::kTemporal);
-  const auto all = check::computePrecedenceClosure(g, EdgeMask::all());
+  const cdfg::CsrView view(g);
+  const auto all = check::computePrecedenceClosure(view, EdgeMask::all());
   EXPECT_TRUE(all.precedes(a, c));
-  const auto dc = check::computePrecedenceClosure(g, EdgeMask::dataControl());
+  const auto dc =
+      check::computePrecedenceClosure(view, EdgeMask::dataControl());
   EXPECT_TRUE(dc.precedes(a, b));
   EXPECT_FALSE(dc.precedes(a, c));
   EXPECT_FALSE(dc.precedes(b, c));
@@ -92,27 +99,28 @@ TEST(Dataflow, FixpointIsIdempotent) {
   for (std::uint64_t seed = 10; seed <= 12; ++seed) {
     cdfg::Cdfg g = smallRandomDfg(seed);
     addTemporalEdges(g, 4, seed);
-    check::ClosureDomain closure(g.nodeCount());
-    const auto first =
-        check::solveFixpoint(g, Direction::kForward, EdgeMask::all(), closure);
+    const cdfg::CsrView view(g);
+    check::ClosureDomain closure(view.nodeCount());
+    const auto first = check::solveFixpoint(view, Direction::kForward,
+                                            EdgeMask::all(), closure);
     ASSERT_TRUE(first.converged);
-    const auto second =
-        check::solveFixpoint(g, Direction::kForward, EdgeMask::all(), closure);
+    const auto second = check::solveFixpoint(view, Direction::kForward,
+                                             EdgeMask::all(), closure);
     EXPECT_TRUE(second.converged);
     EXPECT_EQ(second.updates, 0u) << "seed " << seed;
 
-    check::ReachDomain reach(g.nodeCount());
+    check::ReachDomain reach(view.nodeCount());
     reach.mark[0] = 1;
-    check::solveFixpoint(g, Direction::kForward, EdgeMask::all(), reach);
+    check::solveFixpoint(view, Direction::kForward, EdgeMask::all(), reach);
     const auto rerun =
-        check::solveFixpoint(g, Direction::kForward, EdgeMask::all(), reach);
+        check::solveFixpoint(view, Direction::kForward, EdgeMask::all(), reach);
     EXPECT_EQ(rerun.updates, 0u) << "seed " << seed;
   }
 }
 
 TEST(Dataflow, ClosureGrowsMonotonicallyUnderEdgeAddition) {
   cdfg::Cdfg g = smallRandomDfg(21);
-  const auto before = check::computePrecedenceClosure(g);
+  const auto before = check::computePrecedenceClosure(cdfg::CsrView(g));
   // A fresh forward edge between two unrelated nodes.
   cdfg::NodeId src = cdfg::NodeId::invalid();
   cdfg::NodeId dst = cdfg::NodeId::invalid();
@@ -127,7 +135,7 @@ TEST(Dataflow, ClosureGrowsMonotonicallyUnderEdgeAddition) {
   }
   ASSERT_TRUE(src.isValid());
   g.addEdge(src, dst, cdfg::EdgeKind::kTemporal);
-  const auto after = check::computePrecedenceClosure(g);
+  const auto after = check::computePrecedenceClosure(cdfg::CsrView(g));
   EXPECT_TRUE(after.precedes(src, dst));
   for (const cdfg::NodeId a : g.allNodes()) {
     for (const cdfg::NodeId b : g.allNodes()) {
@@ -137,48 +145,6 @@ TEST(Dataflow, ClosureGrowsMonotonicallyUnderEdgeAddition) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// SlackAnalysis must agree with the pinned sched::TimeFrames.
-
-void expectSlackMatchesTimeFrames(const cdfg::Cdfg& g,
-                                  const sched::LatencyModel& lat,
-                                  std::optional<std::uint32_t> deadline) {
-  const sched::TimeFrames tf(g, lat, deadline);
-  const auto slack = check::computeSlack(g, lat, deadline);
-  ASSERT_TRUE(slack.converged());
-  EXPECT_EQ(slack.critical, tf.criticalPathSteps());
-  EXPECT_EQ(slack.deadline, tf.deadline());
-  for (const cdfg::NodeId v : g.allNodes()) {
-    EXPECT_EQ(slack.asap[v.value()], tf.asap(v)) << "asap " << v.value();
-    EXPECT_EQ(slack.alap[v.value()], tf.alap(v)) << "alap " << v.value();
-  }
-}
-
-TEST(Dataflow, SlackMatchesTimeFramesOnRandomDfgs) {
-  for (std::uint64_t seed = 31; seed <= 33; ++seed) {
-    cdfg::Cdfg g = smallRandomDfg(seed);
-    expectSlackMatchesTimeFrames(g, sched::LatencyModel::unit(),
-                                 std::nullopt);
-    expectSlackMatchesTimeFrames(g, sched::LatencyModel::hyperDefault(),
-                                 std::nullopt);
-    addTemporalEdges(g, 5, seed * 3);
-    expectSlackMatchesTimeFrames(g, sched::LatencyModel::unit(),
-                                 std::nullopt);
-    const auto tight = check::computeSlack(g, sched::LatencyModel::unit());
-    expectSlackMatchesTimeFrames(g, sched::LatencyModel::unit(),
-                                 tight.critical + 3);
-  }
-}
-
-TEST(Dataflow, SlackClampsInfeasibleDeadline) {
-  // A deadline below the critical path makes TimeFrames throw; the linter
-  // analysis instead clamps to the critical path and reports that.
-  const cdfg::Cdfg g = smallRandomDfg(5);
-  const auto slack = check::computeSlack(g, sched::LatencyModel::unit(), 1);
-  EXPECT_TRUE(slack.converged());
-  EXPECT_EQ(slack.deadline, slack.critical);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,16 +163,17 @@ TEST(Dataflow, ReachabilityForwardAndBackward) {
   g.addEdge(mid, out);
   g.addEdge(ghost, mid);
   g.addEdge(mid, dead);
+  const cdfg::CsrView view(g);
 
   const auto fwd =
-      check::computeReachability(g, {in}, Direction::kForward);
+      check::computeReachability(view, {in}, Direction::kForward);
   EXPECT_TRUE(fwd.reached(mid));
   EXPECT_TRUE(fwd.reached(out));
   EXPECT_TRUE(fwd.reached(dead));
   EXPECT_FALSE(fwd.reached(ghost));
 
   const auto bwd =
-      check::computeReachability(g, {out}, Direction::kBackward);
+      check::computeReachability(view, {out}, Direction::kBackward);
   EXPECT_TRUE(bwd.reached(mid));
   EXPECT_TRUE(bwd.reached(in));
   EXPECT_TRUE(bwd.reached(ghost));
@@ -214,7 +181,8 @@ TEST(Dataflow, ReachabilityForwardAndBackward) {
 }
 
 // ---------------------------------------------------------------------------
-// Cyclic input: the engine terminates and reports instead of hanging.
+// Cyclic input: the engine terminates and reports instead of hanging, and
+// the timing analysis refuses it (every caller rejects cycles first).
 
 TEST(Dataflow, CyclicGraphTerminates) {
   cdfg::Cdfg g;
@@ -222,14 +190,16 @@ TEST(Dataflow, CyclicGraphTerminates) {
   const auto b = g.addNode(cdfg::OpKind::kAdd);
   g.addEdge(a, b);
   g.addEdge(b, a);
+  const cdfg::CsrView view(g);
   // The closure converges (a and b precede each other)...
-  const auto closure = check::computePrecedenceClosure(g);
+  const auto closure = check::computePrecedenceClosure(view);
   EXPECT_TRUE(closure.stats.converged);
   EXPECT_TRUE(closure.precedes(a, b));
   EXPECT_TRUE(closure.precedes(b, a));
-  // ...while the unbounded max-plus ASAP hits the visit cap.
-  const auto slack = check::computeSlack(g, sched::LatencyModel::unit());
-  EXPECT_FALSE(slack.converged());
+  // ...while the time frames have no longest path to offer.
+  EXPECT_THROW((void)sched::TimeFrames(view, sched::LatencyModel::unit(),
+                                       std::nullopt, true),
+               GraphError);
   // The semantic rules bail out cleanly (LW103 owns cyclic graphs).
   EXPECT_TRUE(check::checkSemantics(g).empty());
 }
@@ -239,8 +209,9 @@ TEST(Dataflow, HasPathSkippingIgnoresTheSkippedEdge) {
   const auto a = g.addNode(cdfg::OpKind::kAdd);
   const auto b = g.addNode(cdfg::OpKind::kAdd);
   const auto e = g.addEdge(a, b, cdfg::EdgeKind::kTemporal);
-  EXPECT_TRUE(check::hasPathSkipping(g, a, b));
-  EXPECT_FALSE(check::hasPathSkipping(g, a, b, e));
+  const cdfg::CsrView view(g);
+  EXPECT_TRUE(check::hasPathSkipping(view, a, b));
+  EXPECT_FALSE(check::hasPathSkipping(view, a, b, e));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <random>
 #include <vector>
 
+#include "cdfg/csr.h"
 #include "cdfg/random_dfg.h"
 #include "sched/bb_scheduler.h"
 #include "sched/force_directed.h"
@@ -14,6 +15,8 @@
 #include "sched/timeframes.h"
 #include "workloads/hyper.h"
 #include "workloads/iir4.h"
+
+#include "longest_path_oracle.h"
 
 namespace locwm::sched {
 namespace {
@@ -152,6 +155,80 @@ TEST(TimeFrames, TemporalEdgesTightenWhenIncluded) {
   const TimeFrames with(g, LatencyModel::unit(), 3u, true);
   const TimeFrames without(g, LatencyModel::unit(), 3u, false);
   EXPECT_LE(with.alap(g.findByName("d")), without.alap(g.findByName("d")));
+}
+
+TEST(TimeFrames, ViewConstructorKeepsErrorContract) {
+  Cdfg g = vee();
+  // a -> c is a data edge; c -> a closes a cycle through a temporal edge.
+  g.addEdge(g.findByName("c"), g.findByName("a"), EdgeKind::kTemporal);
+  const cdfg::CsrView view(g);
+  EXPECT_THROW((void)TimeFrames(view, LatencyModel::unit(), std::nullopt,
+                                /*includeTemporal=*/true),
+               GraphError);
+  const TimeFrames without(view, LatencyModel::unit(), std::nullopt,
+                           /*includeTemporal=*/false);
+  EXPECT_EQ(without.criticalPathSteps(), 2u);
+  EXPECT_THROW((void)TimeFrames(view, LatencyModel::unit(), 1u,
+                                /*includeTemporal=*/false),
+               ScheduleError);
+}
+
+/// Adds up to `count` temporal edges between random node pairs, each from
+/// the lower id to the higher (randomDfg ids are topological, so the graph
+/// stays acyclic).
+void addForwardTemporalEdges(Cdfg& g, std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::size_t> pick(0, g.nodeCount() - 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    const NodeId a(static_cast<NodeId::value_type>(pick(rng)));
+    const NodeId b(static_cast<NodeId::value_type>(pick(rng)));
+    if (a.value() < b.value() && !g.hasEdge(a, b, EdgeKind::kTemporal)) {
+      g.addEdge(a, b, EdgeKind::kTemporal);
+    }
+  }
+}
+
+TEST(TimeFrames, MatchesLongestPathOracleOnRandomDfgs) {
+  // Both constructors against the Bellman–Ford oracle: random DAGs with
+  // watermark-like temporal edges, unit and HYPER latency, temporal edges
+  // considered or not, deadlines CP..CP+3 and the default (CP).
+  for (const std::uint64_t seed : {31u, 32u, 33u, 34u}) {
+    cdfg::RandomDfgOptions opt;
+    opt.operations = 60;
+    opt.inputs = 4;
+    opt.width = 6;
+    Cdfg g = cdfg::randomDfg(opt, seed);
+    addForwardTemporalEdges(g, 8, seed * 3);
+    const cdfg::CsrView view(g);
+    for (const LatencyModel& lat :
+         {LatencyModel::unit(), LatencyModel::hyperDefault()}) {
+      for (const bool include_temporal : {true, false}) {
+        const testing::LongestPathFrames tight = testing::longestPathFrames(
+            g, lat, std::nullopt, include_temporal);
+        std::vector<std::optional<std::uint32_t>> deadlines{std::nullopt};
+        for (std::uint32_t slack = 0; slack <= 3; ++slack) {
+          deadlines.emplace_back(tight.critical + slack);
+        }
+        for (const std::optional<std::uint32_t> deadline : deadlines) {
+          const testing::LongestPathFrames oracle =
+              testing::longestPathFrames(g, lat, deadline, include_temporal);
+          const TimeFrames from_view(view, lat, deadline, include_temporal);
+          const TimeFrames from_builder(g, lat, deadline, include_temporal);
+          for (const TimeFrames* tf : {&from_view, &from_builder}) {
+            ASSERT_EQ(tf->criticalPathSteps(), oracle.critical)
+                << "seed " << seed;
+            ASSERT_EQ(tf->deadline(), oracle.deadline) << "seed " << seed;
+            for (const NodeId v : g.allNodes()) {
+              ASSERT_EQ(tf->asap(v), oracle.asap[v.value()])
+                  << "seed " << seed << " asap " << v.value();
+              ASSERT_EQ(tf->alap(v), oracle.alap[v.value()])
+                  << "seed " << seed << " alap " << v.value();
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 /// Every frame value of `tf` over `g`, then the critical path: equal
