@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cdfg/csr.h"
@@ -22,10 +23,14 @@ namespace locwm::cdfg {
 /// Per-node structural metrics of one graph, computed once.
 class StructuralAnalysis {
  public:
-  /// Computes all metrics.  Temporal edges are excluded: structural
-  /// identification must see the *original* specification, otherwise the
-  /// watermark constraints would perturb the identifiers used to detect
-  /// them.
+  /// Computes all metrics over `view`, which must outlive the analysis.
+  /// Temporal edges are excluded: structural identification must see the
+  /// *original* specification, otherwise the watermark constraints would
+  /// perturb the identifiers used to detect them.  Throws GraphError when
+  /// the data/control edges form a cycle.
+  explicit StructuralAnalysis(const CsrView& view);
+
+  /// Same metrics over a builder: lowers a view the analysis owns.
   explicit StructuralAnalysis(const Cdfg& graph);
 
   /// Level of a node: the longest path (in non-pseudo operations, inclusive
@@ -69,20 +74,21 @@ class StructuralAnalysis {
   [[nodiscard]] std::vector<std::uint8_t> functionalitySignature(
       NodeId n, std::uint32_t dist) const;
 
-  /// The graph the analysis was built over.
-  [[nodiscard]] const Cdfg& graph() const noexcept { return *graph_; }
-
-  /// CSR snapshot of the graph, lowered once at construction.  The
-  /// ordering refinement (ordering.cpp) and every other read-mostly
-  /// consumer of the analysis traverses this instead of the builder's
-  /// allocating accessors.  Snapshot semantics: taken before any
-  /// mutation the caller performs after constructing the analysis —
-  /// which would stale the level/height tables anyway.
-  [[nodiscard]] const CsrView& csr() const noexcept { return csr_; }
+  /// The CSR view the analysis was computed over.  The ordering
+  /// refinement (ordering.cpp) and every other read-mostly consumer of the
+  /// analysis traverses it.  Snapshot semantics: a builder mutated after
+  /// lowering is not reflected — which would stale the level/height tables
+  /// anyway.
+  [[nodiscard]] const CsrView& csr() const noexcept { return *view_; }
 
  private:
-  const Cdfg* graph_;
-  CsrView csr_;
+  /// Fills the level/height tables and the critical path from *view_.
+  void compute();
+
+  /// The lowered builder of the Cdfg constructor; empty otherwise.  Heap-
+  /// held so view_ survives moves of the analysis.
+  std::unique_ptr<const CsrView> owned_;
+  const CsrView* view_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint32_t> height_;
   std::uint32_t critical_path_ = 0;

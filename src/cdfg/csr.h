@@ -24,10 +24,15 @@
 //   * offset tables with three kind boundaries per node (3n+1 entries
 //     per direction), giving degrees and segment spans in O(1).
 //
-// Lowering is O(N + E) by counting sort over the edge table and is
-// deterministic: within one (node, kind) segment, neighbours appear in
-// edge-insertion order — the same relative order Cdfg::predecessors /
-// successors produce — and parallel (duplicate) edges are preserved.
+// There is one lowering routine, from a node-kind table and an edge list
+// in id order.  Lowering a Cdfg hands it the builder's own tables; the
+// locality deriver (core/locality.cpp) hands it the contracted
+// identification context it assembles per root, so that graph never
+// exists as a builder.  Lowering is O(N + E) by counting sort over the
+// edge list and is deterministic: within one (node, kind) segment,
+// neighbours appear in edge-id order — for a Cdfg the same relative order
+// Cdfg::predecessors / successors produce — and parallel (duplicate)
+// edges are preserved.
 //
 // Lowering contract: a view is a *snapshot*.  Mutating the builder
 // (addNode/addEdge) after lowering is not reflected in any existing
@@ -41,6 +46,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "cdfg/graph.h"
 #include "cdfg/ids.h"
@@ -65,7 +71,13 @@ enum class EdgeSel : std::uint8_t {
 class CsrView {
  public:
   CsrView() = default;
+  /// Lowers a Cdfg: delegates to the list constructor with the builder's
+  /// node and edge tables, tombstoned edges keeping their ids.
   explicit CsrView(const Cdfg& g);
+  /// Lowers the graph whose node v has kind kinds[v] and whose edge i is
+  /// edges[i].  An edge with an invalid src is a tombstone: it is skipped
+  /// and its id stays unused.
+  CsrView(std::span<const OpKind> kinds, std::span<const Edge> edges);
 
   // The section pointers alias arena_'s heap buffer; moving a vector
   // transfers that buffer, so moves keep them valid — copies would not.

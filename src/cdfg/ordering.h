@@ -50,12 +50,14 @@ struct NodeOrdering {
   std::uint32_t max_depth_used = 0;
 };
 
-/// Orders `nodes` (a subset of `analysis.graph()`'s nodes) canonically.
+/// Orders `nodes` (distinct nodes of `analysis.csr()`) canonically.
 ///
 /// `maxDepth` bounds the iterative deepening of criteria C2/C3; the default
 /// comfortably exceeds the diameter of all benchmark graphs.  The ordering
 /// depends only on graph structure, never on node ids or labels, so it is
 /// reproducible on a re-indexed (reverse-engineered) copy of the design.
+/// Each refinement round sorts keys only inside the colour classes that
+/// still hold two or more nodes.
 [[nodiscard]] NodeOrdering computeOrdering(const StructuralAnalysis& analysis,
                                            const std::vector<NodeId>& nodes,
                                            std::uint32_t maxDepth = 64);

@@ -1,10 +1,8 @@
 #include "core/locality.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "cdfg/error.h"
-#include "cdfg/subgraph.h"
 #include "obs/obs.h"
 #include "rt/rt.h"
 
@@ -52,54 +50,6 @@ bool isTransparentKind(cdfg::OpKind kind) {
   return cdfg::isPseudoOp(kind) || kind == cdfg::OpKind::kCopy;
 }
 
-/// Copy-transparent walk shared by realPreds/realSuccs: collects real
-/// operations, expands copies, stops at pseudo-ops.  `seen` membership is
-/// a linear scan — the walks touch a handful of local nodes, so a small
-/// vector beats the O(graph) bitmap the old builder-based helpers zeroed
-/// on every call.
-template <typename Expand>
-std::vector<NodeId> realNeighbourWalk(const cdfg::CsrView& v, NodeId start,
-                                      Expand&& neighbours) {
-  std::vector<NodeId> out;
-  std::vector<NodeId> seen;
-  std::vector<NodeId> stack;
-  {
-    const auto first = neighbours(start);
-    stack.assign(first.begin(), first.end());
-  }
-  while (!stack.empty()) {
-    const NodeId p = stack.back();
-    stack.pop_back();
-    if (std::find(seen.begin(), seen.end(), p) != seen.end()) {
-      continue;
-    }
-    seen.push_back(p);
-    const cdfg::OpKind kind = v.kind(p);
-    if (cdfg::isPseudoOp(kind)) {
-      continue;
-    }
-    if (kind == cdfg::OpKind::kCopy) {
-      for (const NodeId q : neighbours(p)) {
-        stack.push_back(q);
-      }
-      continue;
-    }
-    out.push_back(p);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-/// Real-operation predecessors (via data/control edges), walking *through*
-/// copy chains, deduplicated, ascending by id.  Pseudo-ops terminate the
-/// walk (they are the traversal boundary).
-std::vector<NodeId> realPreds(const cdfg::CsrView& v, NodeId n) {
-  return realNeighbourWalk(v, n, [&](NodeId x) {
-    return v.predecessors(x, cdfg::EdgeSel::kDataControl);
-  });
-}
-
 /// Calls f(dst, kind) for every data/control edge leaving `n`, in edge
 /// *insertion* order — merging the kind-grouped CSR segments by edge id
 /// reproduces exactly the order the builder's outEdges() walk visits, so
@@ -124,54 +74,146 @@ void forEachDataControlOut(const cdfg::CsrView& v, NodeId n, F&& f) {
   }
 }
 
-/// Builds the *contracted* identification graph over `members` (sorted,
-/// all non-transparent): direct edges keep their kind; edges that pass
-/// through copy chains are contracted to data edges, preserving path
-/// multiplicity (x + x through a copy stays a double edge).  All
-/// identification — ordering, carving, shapes — happens on this graph, so
-/// splitting edges with copies cannot perturb detection.
-cdfg::Cdfg buildContracted(const cdfg::CsrView& view,
-                           const std::vector<NodeId>& members,
-                           cdfg::NodeMap* map_out) {
-  cdfg::Cdfg c;
-  cdfg::NodeMap map;
-  map.reserve(members.size());
-  for (const NodeId v : members) {
-    map.emplace(v, c.addNode(view.kind(v)));
+/// The `state` bit walkRealBall sets on every operation it reaches.
+constexpr std::uint8_t kInBall = 1;
+
+/// Breadth-first walk over the real operations within `radius` hops of
+/// the real `root`.  A hop follows a data/control edge backwards — and
+/// forwards too when `undirected` — through any chain of copies, never
+/// across a pseudo-op (the traversal boundary).  Appends the operations
+/// reached to `members` level by level, root first, and sets kInBall for
+/// them in `state` (one byte per design node).  After level k = 1..radius
+/// it calls on_level(k, first), where members[first..] is level k, and
+/// stops when that returns false (then it returns false) or when a level
+/// adds nothing.  Only membership matters, so a copy is expanded at most
+/// once per direction: its first expansion happens at the smallest
+/// distance, and a later one could only reach the same operations farther
+/// out.
+template <typename OnLevel>
+bool walkRealBall(const cdfg::CsrView& view, NodeId root, std::uint32_t radius,
+                  bool undirected, std::vector<std::uint8_t>& state,
+                  std::vector<NodeId>& members, OnLevel&& on_level) {
+  constexpr std::uint8_t kExpanded[2] = {2, 4};  // by predecessors, successors
+  state.assign(view.nodeCount(), 0);
+  state[root.value()] = kInBall;
+  members.assign(1, root);
+  std::vector<NodeId> stack;
+  std::size_t level_begin = 0;
+  for (std::uint32_t d = 0; d < radius && level_begin < members.size(); ++d) {
+    const std::size_t level_end = members.size();
+    for (std::size_t i = level_begin; i < level_end; ++i) {
+      for (int dir = 0; dir < (undirected ? 2 : 1); ++dir) {
+        const auto next = [&](NodeId x) {
+          return dir == 0 ? view.predecessors(x, cdfg::EdgeSel::kDataControl)
+                          : view.successors(x, cdfg::EdgeSel::kDataControl);
+        };
+        const auto first = next(members[i]);
+        stack.assign(first.begin(), first.end());
+        while (!stack.empty()) {
+          const NodeId p = stack.back();
+          stack.pop_back();
+          const cdfg::OpKind kind = view.kind(p);
+          std::uint8_t& st = state[p.value()];
+          if (kind == cdfg::OpKind::kCopy) {
+            if ((st & kExpanded[dir]) == 0) {
+              st |= kExpanded[dir];
+              const auto more = next(p);
+              stack.insert(stack.end(), more.begin(), more.end());
+            }
+          } else if (!cdfg::isPseudoOp(kind) && (st & kInBall) == 0) {
+            st |= kInBall;
+            members.push_back(p);
+          }
+        }
+      }
+    }
+    level_begin = level_end;
+    if (!on_level(d + 1, level_begin)) {
+      return false;
+    }
   }
-  for (const NodeId v : members) {
-    // forEachDataControlOut replays the builder's edge-insertion order,
-    // so the contracted graph's edge numbering is identical to what the
-    // pre-CSR implementation produced.
-    forEachDataControlOut(view, v, [&](NodeId dst, cdfg::EdgeKind kind) {
-      const auto direct = map.find(dst);
-      if (direct != map.end()) {
-        c.addEdge(map.at(v), direct->second, kind);
+  return true;
+}
+
+/// The members of the ball walkRealBall walks, ascending by id:
+/// derive()'s Step 1 balls.
+std::vector<NodeId> realBall(const cdfg::CsrView& view, NodeId root,
+                             std::uint32_t radius, bool undirected) {
+  std::vector<std::uint8_t> state;
+  std::vector<NodeId> members;
+  walkRealBall(view, root, radius, undirected, state, members,
+               [](std::uint32_t, std::size_t) { return true; });
+  // A scan of the marks, which cost O(design) to clear anyway.
+  std::size_t k = 0;
+  for (std::size_t v = 0; v < state.size(); ++v) {
+    if ((state[v] & kInBall) != 0) {
+      members[k++] = NodeId(static_cast<std::uint32_t>(v));
+    }
+  }
+  return members;
+}
+
+/// A contracted identification graph, straight in CSR form.  Context node
+/// i is the design's members[i]; edges[j] is contracted edge j.
+struct Context {
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  std::vector<NodeId> members;
+  /// local_of[design node] = context id, or kNone.
+  std::vector<std::uint32_t> local_of;
+  std::vector<cdfg::Edge> edges;
+  cdfg::CsrView view;
+};
+
+/// Contracts the design over `members` (ascending, all non-transparent):
+/// direct edges keep their kind; edges that pass through copy chains are
+/// contracted to data edges, preserving path multiplicity (x + x through a
+/// copy stays a double edge).  Edges are numbered member by member, each
+/// member's out-edges in design edge-id order with every copy chain
+/// expanded depth-first in place.  All identification — ordering, carving,
+/// shapes — happens on this graph, so splitting edges with copies cannot
+/// perturb detection.
+Context contract(const cdfg::CsrView& design, std::vector<NodeId> members) {
+  Context ctx;
+  ctx.members = std::move(members);
+  ctx.local_of.assign(design.nodeCount(), Context::kNone);
+  std::vector<cdfg::OpKind> kinds;
+  kinds.reserve(ctx.members.size());
+  for (std::uint32_t i = 0; i < ctx.members.size(); ++i) {
+    ctx.local_of[ctx.members[i].value()] = i;
+    kinds.push_back(design.kind(ctx.members[i]));
+  }
+  std::vector<NodeId> stack;
+  for (std::uint32_t i = 0; i < ctx.members.size(); ++i) {
+    const NodeId src(i);
+    forEachDataControlOut(design, ctx.members[i], [&](NodeId dst,
+                                                      cdfg::EdgeKind kind) {
+      if (const std::uint32_t d = ctx.local_of[dst.value()];
+          d != Context::kNone) {
+        ctx.edges.push_back({src, NodeId(d), kind});
         return;
       }
-      if (view.kind(dst) != cdfg::OpKind::kCopy) {
+      if (design.kind(dst) != cdfg::OpKind::kCopy) {
         return;  // boundary (pseudo-op or outside the member set)
       }
       // Expand the copy chain, preserving multiplicity (no dedup).
-      std::vector<NodeId> stack{dst};
+      stack.assign(1, dst);
       std::size_t guard = 0;
       while (!stack.empty() && ++guard < 4096) {
         const NodeId p = stack.back();
         stack.pop_back();
-        forEachDataControlOut(view, p, [&](NodeId q, cdfg::EdgeKind) {
-          if (view.kind(q) == cdfg::OpKind::kCopy) {
+        forEachDataControlOut(design, p, [&](NodeId q, cdfg::EdgeKind) {
+          if (design.kind(q) == cdfg::OpKind::kCopy) {
             stack.push_back(q);
-          } else if (const auto it = map.find(q); it != map.end()) {
-            c.addEdge(map.at(v), it->second, cdfg::EdgeKind::kData);
+          } else if (const std::uint32_t d = ctx.local_of[q.value()];
+                     d != Context::kNone) {
+            ctx.edges.push_back({src, NodeId(d), cdfg::EdgeKind::kData});
           }
         });
       }
     });
   }
-  if (map_out != nullptr) {
-    *map_out = std::move(map);
-  }
-  return c;
+  ctx.view = cdfg::CsrView(kinds, ctx.edges);
+  return ctx;
 }
 
 /// The canonical ordering of a contracted identification context.
@@ -180,16 +222,16 @@ cdfg::Cdfg buildContracted(const cdfg::CsrView& view,
 /// selects them.
 struct RankedContext {
   static constexpr std::uint32_t kTied = 0xFFFFFFFFu;
-  cdfg::StructuralAnalysis analysis;
   /// Context nodes by ascending canonical rank.
   std::vector<NodeId> ordered;
-  /// rank_of[context node value] = canonical rank, or kTied.
+  /// rank_of[context node] = canonical rank, or kTied.
   std::vector<std::uint32_t> rank_of;
 };
 
-RankedContext rankContext(const cdfg::Cdfg& context) {
-  RankedContext out{cdfg::StructuralAnalysis(context), {}, {}};
-  cdfg::NodeOrdering ordering = cdfg::computeOrdering(out.analysis);
+RankedContext rankContext(const cdfg::CsrView& context) {
+  cdfg::NodeOrdering ordering =
+      cdfg::computeOrdering(cdfg::StructuralAnalysis(context));
+  RankedContext out;
   out.rank_of.assign(context.nodeCount(), RankedContext::kTied);
   for (std::size_t i = 0; i < ordering.ordered.size(); ++i) {
     const bool tied_prev =
@@ -204,11 +246,27 @@ RankedContext rankContext(const cdfg::Cdfg& context) {
   return out;
 }
 
-/// Real-operation successors with the same copy transparency.
-std::vector<NodeId> realSuccs(const cdfg::CsrView& v, NodeId n) {
-  return realNeighbourWalk(v, n, [&](NodeId x) {
-    return v.successors(x, cdfg::EdgeSel::kDataControl);
-  });
+/// The shape over `picked` (context nodes by ascending rank): node i is
+/// picked[i], and the edges are the contracted edges between picked nodes
+/// in contracted-edge-id order.  The context has no temporal edges and no
+/// labels, so this is the stripped, scrubbed induced subgraph with node
+/// id == rank.
+cdfg::Cdfg assembleShape(const Context& ctx,
+                         const std::vector<NodeId>& picked) {
+  std::vector<std::uint32_t> pos(ctx.members.size(), Context::kNone);
+  cdfg::Cdfg shape;
+  for (std::uint32_t i = 0; i < picked.size(); ++i) {
+    pos[picked[i].value()] = i;
+    shape.addNode(ctx.view.kind(picked[i]));
+  }
+  for (const cdfg::Edge& ed : ctx.edges) {
+    const std::uint32_t s = pos[ed.src.value()];
+    const std::uint32_t d = pos[ed.dst.value()];
+    if (s != Context::kNone && d != Context::kNone) {
+      shape.addEdge(NodeId(s), NodeId(d), ed.kind);
+    }
+  }
+  return shape;
 }
 
 }  // namespace
@@ -218,45 +276,10 @@ std::optional<Locality> LocalityDeriver::derive(
     crypto::KeyedBitstream& bits) const {
   LOCWM_OBS_SPAN("core.locality.derive");
   LOCWM_OBS_COUNT("core.locality.derive_calls", 1);
-  const cdfg::CsrView& view = csr_;
-  if (isTransparentKind(view.kind(root))) {
+  if (isTransparentKind(csr_.kind(root))) {
     LOCWM_OBS_COUNT("core.locality.rejected", 1);
     return std::nullopt;
   }
-
-  auto realNeighbours = [&](NodeId v, bool undirected) {
-    std::vector<NodeId> out = realPreds(view, v);
-    if (undirected) {
-      const std::vector<NodeId> succs = realSuccs(view, v);
-      out.insert(out.end(), succs.begin(), succs.end());
-      std::sort(out.begin(), out.end());
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
-    return out;
-  };
-  auto ball = [&](std::uint32_t radius, bool undirected) {
-    std::vector<NodeId> members;
-    std::vector<bool> seen(view.nodeCount(), false);
-    std::vector<NodeId> frontier{root};
-    seen[root.value()] = true;
-    members.push_back(root);
-    for (std::uint32_t d = 0; d < radius && !frontier.empty(); ++d) {
-      std::vector<NodeId> next;
-      for (const NodeId v : frontier) {
-        for (const NodeId p : realNeighbours(v, undirected)) {
-          if (!seen[p.value()]) {
-            seen[p.value()] = true;
-            next.push_back(p);
-          }
-        }
-      }
-      std::sort(next.begin(), next.end());
-      members.insert(members.end(), next.begin(), next.end());
-      frontier = std::move(next);
-    }
-    std::sort(members.begin(), members.end());
-    return members;
-  };
 
   std::vector<NodeId> to_nodes;
   std::vector<NodeId> ctx_nodes;
@@ -264,7 +287,7 @@ std::optional<Locality> LocalityDeriver::derive(
     LOCWM_OBS_SPAN("core.locality.derive.ball");
     // --- Step 1a: the fanin tree To of max-distance Δ, real ops only —
     // the set the carve may select from (the paper's To).
-    to_nodes = ball(params.max_distance, /*undirected=*/false);
+    to_nodes = realBall(csr_, root, params.max_distance, /*undirected=*/false);
     if (to_nodes.size() < params.min_size) {
       LOCWM_OBS_COUNT("core.locality.rejected", 1);
       return std::nullopt;
@@ -276,56 +299,59 @@ std::optional<Locality> LocalityDeriver::derive(
     // re-derives it identically.  Pseudo-ops (the design's port boundary)
     // are never crossed, keeping the context invariant under host
     // embedding.
-    ctx_nodes = ball(params.max_distance, /*undirected=*/true);
+    ctx_nodes = realBall(csr_, root, params.max_distance, /*undirected=*/true);
   }
+  LOCWM_OBS_COUNT("core.locality.context_nodes", ctx_nodes.size());
 
   // --- Step 2: canonical ordering of the context's contracted graph; the
   // root itself must be uniquely identified.
-  cdfg::NodeMap to_map;  // graph -> contracted (context coordinates)
-  const cdfg::Cdfg to_graph = [&] {
+  const Context ctx = [&] {
     LOCWM_OBS_SPAN("core.locality.derive.contract");
-    return buildContracted(view, ctx_nodes, &to_map);
+    return contract(csr_, std::move(ctx_nodes));
   }();
   const RankedContext ranked = [&] {
     LOCWM_OBS_SPAN("core.locality.derive.order");
-    return rankContext(to_graph);
+    return rankContext(ctx.view);
   }();
   const std::vector<std::uint32_t>& rank_of = ranked.rank_of;
   constexpr std::uint32_t kTied = RankedContext::kTied;
-  const NodeId root_in_to = to_map.at(root);
-  if (rank_of[root_in_to.value()] == kTied) {
+  const NodeId root_local(ctx.local_of[root.value()]);
+  if (rank_of[root_local.value()] == kTied) {
     LOCWM_OBS_COUNT("core.locality.rejected", 1);
     return std::nullopt;
   }
 
   // --- Step 3: keyed breadth-first carve of T ⊆ To. ---
   LOCWM_OBS_SPAN("core.locality.derive.carve");
-  std::vector<bool> in_to(to_graph.nodeCount(), false);
+  const std::size_t size = ctx.members.size();
+  std::vector<bool> in_to(size, false);
   for (const NodeId v : to_nodes) {
-    in_to[to_map.at(v).value()] = true;
+    in_to[ctx.local_of[v.value()]] = true;
   }
-  const NodeId root_local = root_in_to;
-  std::vector<bool> carved(to_graph.nodeCount(), false);
+  std::vector<bool> carved(size, false);
   carved[root_local.value()] = true;
   std::vector<NodeId> frontier{root_local};
+  std::vector<NodeId> preds;
   while (!frontier.empty()) {
     // Deterministic frontier order: ascending canonical rank.
-    std::sort(frontier.begin(), frontier.end(), [&](NodeId a, NodeId b) {
+    const auto by_rank = [&](NodeId a, NodeId b) {
       return rank_of[a.value()] < rank_of[b.value()];
-    });
+    };
+    std::sort(frontier.begin(), frontier.end(), by_rank);
     std::vector<NodeId> next;
     for (const NodeId v : frontier) {
-      // The ordering's analysis already lowered the contracted graph —
-      // reuse its view.
-      std::vector<NodeId> preds = realPreds(ranked.analysis.csr(), v);
       // Only fanin-tree members are selectable, and automorphic
-      // predecessors are invisible to the carve.
-      std::erase_if(preds, [&](NodeId p) {
-        return !in_to[p.value()] || rank_of[p.value()] == kTied;
-      });
-      std::sort(preds.begin(), preds.end(), [&](NodeId a, NodeId b) {
-        return rank_of[a.value()] < rank_of[b.value()];
-      });
+      // predecessors are invisible to the carve.  Every context node is
+      // real, so its real predecessors are its distinct predecessors.
+      preds.clear();
+      for (const NodeId p :
+           ctx.view.predecessors(v, cdfg::EdgeSel::kDataControl)) {
+        if (in_to[p.value()] && rank_of[p.value()] != kTied) {
+          preds.push_back(p);
+        }
+      }
+      std::sort(preds.begin(), preds.end(), by_rank);
+      preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
       if (preds.empty()) {
         continue;
       }
@@ -348,8 +374,10 @@ std::optional<Locality> LocalityDeriver::derive(
     frontier = std::move(next);
   }
 
-  // --- Step 4: assemble the locality in canonical-rank order. ---
-  std::vector<NodeId> carved_local;  // induced-graph ids, by ascending rank
+  // --- Step 4: assemble the locality in canonical-rank order.  Temporal
+  // edges (from previously embedded watermarks) never reach the context:
+  // the published design carries none, and the fingerprint must match it.
+  std::vector<NodeId> carved_local;  // context ids, by ascending rank
   for (const NodeId v : ranked.ordered) {
     if (carved[v.value()]) {
       carved_local.push_back(v);
@@ -359,30 +387,13 @@ std::optional<Locality> LocalityDeriver::derive(
     LOCWM_OBS_COUNT("core.locality.rejected", 1);
     return std::nullopt;
   }
-
-  // Map induced ids back to source-graph ids.
-  std::unordered_map<NodeId, NodeId> inverse;  // induced -> graph
-  for (const auto& [orig, local] : to_map) {
-    inverse.emplace(local, orig);
-  }
-
   Locality result;
   result.root = root;
   result.nodes.reserve(carved_local.size());
   for (const NodeId v : carved_local) {
-    result.nodes.push_back(inverse.at(v));
+    result.nodes.push_back(ctx.members[v.value()]);
   }
-  // Shape: induced subgraph of T with node id == rank.  inducedSubgraph
-  // numbers nodes by position in the input vector, so passing the nodes in
-  // rank order yields exactly the rank numbering.  Temporal edges (from
-  // previously embedded watermarks) are stripped: the published design
-  // carries none, and the fingerprint must match it.
-  result.shape =
-      cdfg::inducedSubgraph(to_graph, carved_local).stripTemporalEdges();
-  // Scrub labels: shape identity must not leak source names.
-  for (const NodeId v : result.shape.allNodes()) {
-    result.shape.setNodeName(v, {});
-  }
+  result.shape = assembleShape(ctx, carved_local);
   LOCWM_OBS_COUNT("core.locality.accepted", 1);
   LOCWM_OBS_COUNT("core.locality.nodes_carved", result.nodes.size());
   return result;
@@ -401,14 +412,8 @@ std::optional<Locality> LocalityDeriver::wholeDesign(
   if (real.size() < minSize) {
     return std::nullopt;
   }
-  cdfg::NodeMap map;
-  const cdfg::Cdfg sub = buildContracted(csr_, real, &map);
-  const RankedContext ranked = rankContext(sub);
-
-  std::unordered_map<NodeId, NodeId> inverse;  // induced -> graph
-  for (const auto& [orig, local] : map) {
-    inverse.emplace(local, orig);
-  }
+  const Context ctx = contract(csr_, std::move(real));
+  const RankedContext ranked = rankContext(ctx.view);
   std::vector<NodeId> untied_local;
   for (const NodeId v : ranked.ordered) {
     if (ranked.rank_of[v.value()] != RankedContext::kTied) {
@@ -421,13 +426,9 @@ std::optional<Locality> LocalityDeriver::wholeDesign(
   Locality result;
   result.root = NodeId::invalid();
   for (const NodeId v : untied_local) {
-    result.nodes.push_back(inverse.at(v));
+    result.nodes.push_back(ctx.members[v.value()]);
   }
-  result.shape =
-      cdfg::inducedSubgraph(sub, untied_local).stripTemporalEdges();
-  for (const NodeId v : result.shape.allNodes()) {
-    result.shape.setNodeName(v, {});
-  }
+  result.shape = assembleShape(ctx, untied_local);
   return result;
 }
 
@@ -444,14 +445,11 @@ bool kindCountsCover(const KindCounts& outer,
   return true;
 }
 
-/// Mirror of derive()'s Step 1a ball(radius, /*undirected=*/false): a
-/// breadth-first walk over copy-transparent real predecessors of a real
-/// `root`.  Calls on_level(k, counts) with the kind histogram of the ball
-/// of radius k, for k = 0..radius, and stops early when it returns false
-/// or when the ball stops growing.  Membership is all that matters here,
-/// so the per-level sorting derive() does for determinism of *order* is
-/// unnecessary — the counted set is identical.  Returns the last counts
-/// reported, or nullopt when on_level stopped the walk.
+/// The kind histograms of derive()'s Step 1a ball around a real `root`:
+/// calls on_level(k, counts) with the histogram of the ball of radius k,
+/// for k = 0..radius, and stops early when it returns false or when the
+/// ball stops growing.  Returns the last counts reported, or nullopt when
+/// on_level stopped the walk.
 template <typename OnLevel>
 std::optional<KindCounts> walkFaninLevels(const cdfg::CsrView& v, NodeId root,
                                           std::uint32_t radius,
@@ -461,24 +459,18 @@ std::optional<KindCounts> walkFaninLevels(const cdfg::CsrView& v, NodeId root,
   if (!on_level(0, counts)) {
     return std::nullopt;
   }
-  std::vector<bool> seen(v.nodeCount(), false);
-  std::vector<NodeId> frontier{root};
-  seen[root.value()] = true;
-  for (std::uint32_t d = 0; d < radius && !frontier.empty(); ++d) {
-    std::vector<NodeId> next;
-    for (const NodeId u : frontier) {
-      for (const NodeId p : realPreds(v, u)) {
-        if (!seen[p.value()]) {
-          seen[p.value()] = true;
-          counts[static_cast<std::size_t>(v.kind(p))] += 1;
-          next.push_back(p);
+  std::vector<std::uint8_t> state;
+  std::vector<NodeId> members;
+  const bool walked = walkRealBall(
+      v, root, radius, /*undirected=*/false, state, members,
+      [&](std::uint32_t k, std::size_t first) {
+        for (std::size_t i = first; i < members.size(); ++i) {
+          counts[static_cast<std::size_t>(v.kind(members[i]))] += 1;
         }
-      }
-    }
-    frontier = std::move(next);
-    if (!on_level(d + 1, counts)) {
-      return std::nullopt;
-    }
+        return on_level(k, counts);
+      });
+  if (!walked) {
+    return std::nullopt;
   }
   return counts;
 }
@@ -556,15 +548,35 @@ KindCounts LocalityDeriver::realKindCounts() const {
 }
 
 std::vector<NodeId> LocalityDeriver::candidateRoots() const {
+  // A root needs a real operation among its copy-transparent
+  // predecessors, so each walk stops at the first one.  walked[c] names
+  // the last root whose walk expanded copy c.
   std::vector<NodeId> roots;
   const std::size_t n = csr_.nodeCount();
+  std::vector<NodeId> walked(n, NodeId::invalid());
+  std::vector<NodeId> stack;
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId v(static_cast<std::uint32_t>(i));
     if (isTransparentKind(csr_.kind(v))) {
       continue;
     }
-    if (!realPreds(csr_, v).empty()) {
-      roots.push_back(v);
+    const auto preds = csr_.predecessors(v, cdfg::EdgeSel::kDataControl);
+    stack.assign(preds.begin(), preds.end());
+    while (!stack.empty()) {
+      const NodeId p = stack.back();
+      stack.pop_back();
+      const cdfg::OpKind kind = csr_.kind(p);
+      if (kind == cdfg::OpKind::kCopy) {
+        if (walked[p.value()] != v) {
+          walked[p.value()] = v;
+          const auto more =
+              csr_.predecessors(p, cdfg::EdgeSel::kDataControl);
+          stack.insert(stack.end(), more.begin(), more.end());
+        }
+      } else if (!cdfg::isPseudoOp(kind)) {
+        roots.push_back(v);
+        break;
+      }
     }
   }
   return roots;

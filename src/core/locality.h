@@ -84,8 +84,7 @@ struct Locality {
 /// file comment).  Any other mutation requires constructing a new deriver.
 class LocalityDeriver {
  public:
-  explicit LocalityDeriver(const cdfg::Cdfg& graph)
-      : graph_(&graph), csr_(graph) {}
+  explicit LocalityDeriver(const cdfg::Cdfg& graph) : csr_(graph) {}
 
   /// Derives the locality anchored at `root`, consuming carve decisions
   /// from `bits`.  Returns nullopt when the fanin tree cannot be uniquely
@@ -138,7 +137,6 @@ class LocalityDeriver {
   [[nodiscard]] KindCounts realKindCounts() const;
 
  private:
-  const cdfg::Cdfg* graph_;
   cdfg::CsrView csr_;
 };
 

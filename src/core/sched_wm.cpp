@@ -150,33 +150,60 @@ cdfg::Cdfg stripRealizedDummies(const cdfg::Cdfg& realized,
   return out;
 }
 
-std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
-    cdfg::Cdfg& g, const SchedWmParams& params, std::size_t index) const {
+namespace {
+
+/// The whole-design analyses of embedding, built by the first mark of an
+/// embed() or embedMany() call that finds candidate roots and shared by
+/// the rest.  The deriver's snapshot predates the temporal edges the marks
+/// add, which derivation and StructuralAnalysis ignore anyway; only the
+/// frames move, re-timed in place per committed edge, which equals a
+/// rebuild over the current graph.
+struct EmbedAnalyses {
+  EmbedAnalyses(LocalityDeriver d, std::vector<NodeId> r,
+                const SchedWmParams& params)
+      : deriver(std::move(d)),
+        roots(std::move(r)),
+        frames([&] {
+          LOCWM_OBS_SPAN("core.sched_wm.eligibility");
+          return sched::TimeFrames(deriver.csr(), params.latency,
+                                   params.deadline, /*includeTemporal=*/true);
+        }()),
+        analysis([&] {
+          LOCWM_OBS_SPAN("core.sched_wm.eligibility");
+          return cdfg::StructuralAnalysis(deriver.csr());
+        }()) {}
+  // `analysis` reads `deriver`'s view, so the analyses stay where built.
+  EmbedAnalyses(const EmbedAnalyses&) = delete;
+  EmbedAnalyses& operator=(const EmbedAnalyses&) = delete;
+
+  LocalityDeriver deriver;
+  std::vector<NodeId> roots;
+  sched::TimeFrames frames;
+  cdfg::StructuralAnalysis analysis;
+};
+
+/// One mark of SchedulingWatermarker::embed; builds `shared` over `g`
+/// unless an earlier mark of the call did.
+std::optional<SchedEmbedResult> embedOne(
+    const crypto::AuthorSignature& signature,
+    std::optional<EmbedAnalyses>& shared, cdfg::Cdfg& g,
+    const SchedWmParams& params, std::size_t index) {
   LOCWM_OBS_SPAN("core.sched_wm.embed");
   const std::string context = "sched-wm/" + std::to_string(index);
-  crypto::KeyedBitstream root_bits(signature_, context + "/root");
-
-  const LocalityDeriver deriver(g);
-  const std::vector<NodeId> roots = deriver.candidateRoots();
-  if (roots.empty()) {
-    return std::nullopt;
+  crypto::KeyedBitstream root_bits(signature, context + "/root");
+  if (!shared.has_value()) {
+    LocalityDeriver deriver(g);
+    std::vector<NodeId> roots = deriver.candidateRoots();
+    if (roots.empty()) {
+      return std::nullopt;
+    }
+    shared.emplace(std::move(deriver), std::move(roots), params);
   }
-
-  // Whole-design analyses, once per call.  An attempt that commits no
-  // temporal edge leaves `g` unchanged, and StructuralAnalysis ignores
-  // temporal edges anyway; only the frames move, re-timed per edge.  The
-  // frames read the deriver's snapshot of `g`, taken before any edge of
-  // this call was added.
+  const std::vector<NodeId>& roots = shared->roots;
+  sched::TimeFrames& frames = shared->frames;
+  const cdfg::StructuralAnalysis& analysis = shared->analysis;
   const sched::LatencyModel& lat = params.latency;
-  sched::TimeFrames frames = [&] {
-    LOCWM_OBS_SPAN("core.sched_wm.eligibility");
-    return sched::TimeFrames(deriver.csr(), lat, params.deadline,
-                             /*includeTemporal=*/true);
-  }();
-  const cdfg::StructuralAnalysis analysis = [&] {
-    LOCWM_OBS_SPAN("core.sched_wm.eligibility");
-    return cdfg::StructuralAnalysis(g);
-  }();
+
   // The paper's laxity bound C·(1−α), and the deadline-relative fallback
   // below: the node's mobility must retain an α share of the granted
   // slack.
@@ -190,9 +217,9 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
   for (std::size_t attempt = 0; attempt < params.max_root_retries; ++attempt) {
     LOCWM_OBS_COUNT("core.sched_wm.roots_tried", 1);
     const NodeId root = roots[root_bits.below(roots.size())];
-    crypto::KeyedBitstream carve_bits(signature_, context + "/carve");
+    crypto::KeyedBitstream carve_bits(signature, context + "/carve");
     std::optional<Locality> loc =
-        deriver.derive(root, params.locality, carve_bits);
+        shared->deriver.derive(root, params.locality, carve_bits);
     if (!loc) {
       continue;
     }
@@ -248,7 +275,7 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
                    params.k_fraction *
                    static_cast<double>(eligible_ranks.size())))));
 
-    crypto::KeyedBitstream encode_bits(signature_, context + "/encode");
+    crypto::KeyedBitstream encode_bits(signature, context + "/encode");
     SchedEmbedResult result;
     result.roots_tried = attempt + 1;
     {
@@ -281,11 +308,20 @@ std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
   return std::nullopt;
 }
 
+}  // namespace
+
+std::optional<SchedEmbedResult> SchedulingWatermarker::embed(
+    cdfg::Cdfg& g, const SchedWmParams& params, std::size_t index) const {
+  std::optional<EmbedAnalyses> shared;
+  return embedOne(signature_, shared, g, params, index);
+}
+
 std::vector<SchedEmbedResult> SchedulingWatermarker::embedMany(
     cdfg::Cdfg& g, std::size_t count, const SchedWmParams& params) const {
+  std::optional<EmbedAnalyses> shared;
   std::vector<SchedEmbedResult> results;
   for (std::size_t i = 0; i < count; ++i) {
-    if (auto r = embed(g, params, i)) {
+    if (auto r = embedOne(signature_, shared, g, params, i)) {
       results.push_back(std::move(*r));
     }
   }

@@ -141,7 +141,9 @@ class SchedulingWatermarker {
       cdfg::Cdfg& g, const SchedWmParams& params = {},
       std::size_t index = 0) const;
 
-  /// Embeds up to `count` watermarks; returns the successful ones.
+  /// Embeds up to `count` watermarks, streams 0..count-1; returns the
+  /// successful ones.  Same result as embed(g, params, i) for each i in
+  /// turn, but the design is lowered, rooted and analysed once per call.
   [[nodiscard]] std::vector<SchedEmbedResult> embedMany(
       cdfg::Cdfg& g, std::size_t count,
       const SchedWmParams& params = {}) const;

@@ -206,9 +206,17 @@ __extension__ using U128 = unsigned __int128;
 /// out in min-degree order (ties: lowest node id); each step tabulates the
 /// sum over one variable for every assignment of its current neighbours,
 /// so a step costs Π D over the scope and the variable: O(n·D^(w+1)) in
-/// total for elimination width w.  `max_steps` bounds the cells evaluated;
-/// a step that would cross it stops the count before its table is
-/// allocated.  Counts are checked 128-bit values narrowed to 64 bits at
+/// total for elimination width w.
+///
+/// The order and every step's scope depend only on the constraint graph,
+/// so makePlan() fixes them, and the cells each step costs, before any
+/// table exists.  `max_steps` bounds the planned cells: a count whose plan
+/// needs more evaluates no table.  `max_table_cells` bounds memory: a step
+/// whose table would be larger conditions on one variable of its scope
+/// instead.  It runs the rest of the plan once per value of that variable,
+/// with its window narrowed to the value, and adds the results; each
+/// run's tables are slices of the unconditioned ones, so the sum is the
+/// same count.  Counts are checked 128-bit values narrowed to 64 bits at
 /// the end; any overflow reports exact = false instead of wrapping.
 struct EliminationCounter {
   struct Pair {
@@ -216,67 +224,112 @@ struct EliminationCounter {
     std::uint32_t after = 0;
     std::int64_t gap = 0;  // t_after >= t_before + gap
   };
-  struct Table {
-    std::vector<std::uint32_t> scope;  // ascending variable indices
-    std::vector<U128> data;            // row-major, last scope var fastest
+  /// One planned elimination: sum `x` out of the pair factors `pairs` and
+  /// the tables of the earlier steps `inputs`, leaving a table over
+  /// `scope` (a scalar when the scope is empty).  A step without factors
+  /// only multiplies the count by x's window size.
+  struct Step {
+    std::uint32_t x = 0;
+    std::vector<std::uint32_t> scope;   // ascending variable indices
+    std::vector<std::uint32_t> pairs;   // pair ids
+    std::vector<std::uint32_t> inputs;  // producing step indices
+    std::uint64_t cells = 0;            // planned cells through this step
   };
+  /// The windows and live tables of one run of the plan.  A conditioned
+  /// run narrows the window of `fixed` to a single value and owns its
+  /// slices of the live tables over that variable, and the tables that
+  /// depend on it; the tables it only reads stay owned by the run that
+  /// made them.  A table that does not depend on `fixed` is the same in
+  /// every run of the condition, so the first run leaves it in `shared`
+  /// for the others.  Tables are row-major, last scope variable fastest.
+  struct Frame {
+    std::vector<std::int64_t> lo;
+    std::vector<std::uint64_t> size;
+    std::vector<const std::vector<U128>*> table;  // live tables, by step
+    std::vector<std::vector<U128>> owned;         // by step
+    std::vector<std::vector<U128>>* shared = nullptr;  // by step
+    std::uint32_t fixed = 0;
+  };
+  enum class Outcome { kCounted, kZero, kOverflow };
 
-  explicit EliminationCounter(const Enumerator& enumerator) : en(enumerator) {}
+  explicit EliminationCounter(const Enumerator& enumerator)
+      : en(enumerator),
+        max_table_cells(
+            std::max<std::uint64_t>(enumerator.options->max_table_cells, 1)) {}
 
   const Enumerator& en;
-  std::vector<std::int64_t> lo;
-  std::vector<std::uint64_t> size;
+  const std::uint64_t max_table_cells;
   std::vector<Pair> pairs;
-  std::vector<Table> tables;
-  std::vector<std::vector<std::uint32_t>> pairs_of;   // pair ids per var
-  std::vector<std::vector<std::uint32_t>> tables_of;  // table ids per var
-  std::vector<std::set<std::uint32_t>> adj;           // interaction graph
-  std::uint64_t cells = 0;
+  std::vector<Step> plan;
+  /// False when the plan stops short of eliminating every variable: its
+  /// next step would cross max_steps or overflow its cell count.
+  bool complete = true;
   std::size_t widest_scope = 0;
-
-  [[nodiscard]] CountResult inexact() const { return {0, false, cells}; }
+  std::size_t reached = 0;      // steps any run got to
+  std::uint64_t conditioned = 0;  // conditioned runs
 
   CountResult run() {
     const auto n = static_cast<std::uint32_t>(en.order.size());
     std::vector<std::uint32_t> var_of(en.g->nodeCount(), 0);
-    lo.resize(n);
-    size.resize(n);
+    Frame top;
+    top.lo.resize(n);
+    top.size.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint32_t v = en.order[i].value();
       var_of[v] = i;
       if (en.window_lo[v] > en.alap[v]) {
         return {0, true, 0};  // an empty window admits no schedule
       }
-      lo[i] = en.window_lo[v];
-      size[i] = en.alap[v] - en.window_lo[v] + 1;
+      top.lo[i] = en.window_lo[v];
+      top.size[i] = en.alap[v] - en.window_lo[v] + 1;
     }
-    pairs_of.resize(n);
-    tables_of.resize(n);
-    adj.resize(n);
-    auto constrain = [&](std::uint32_t before, std::uint32_t after,
-                         std::int64_t gap) {
-      const auto id = static_cast<std::uint32_t>(pairs.size());
-      pairs.push_back({before, after, gap});
-      pairs_of[before].push_back(id);
-      pairs_of[after].push_back(id);
-      adj[before].insert(after);
-      adj[after].insert(before);
-    };
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint32_t v = en.order[i].value();
       for (std::uint32_t k = en.pred_off[v]; k < en.pred_off[v + 1]; ++k) {
-        constrain(var_of[en.pred_src[k]], i, en.pred_gap[k]);
+        pairs.push_back({var_of[en.pred_src[k]], i, en.pred_gap[k]});
       }
       for (const NodeId u : en.extra_before[v]) {
-        constrain(var_of[u.value()], i, 1);
+        pairs.push_back({var_of[u.value()], i, 1});
       }
     }
-
-    std::vector<bool> pair_used(pairs.size(), false);
-    std::vector<bool> table_used;
-    std::vector<bool> eliminated(n, false);
+    makePlan(top.size);
+    if (!complete) {
+      return {0, false, 0};
+    }
+    top.table.assign(plan.size(), nullptr);
+    top.owned.resize(plan.size());
     U128 total = 1;
-    for (std::uint32_t step = 0; step < n; ++step) {
+    const Outcome outcome = execute(0, top, total);
+    const std::uint64_t cells = reached == 0 ? 0 : plan[reached - 1].cells;
+    if (outcome == Outcome::kZero) {
+      return {0, true, cells};  // no assignment completes a schedule
+    }
+    if (outcome == Outcome::kOverflow ||
+        total > std::numeric_limits<std::uint64_t>::max()) {
+      return {0, false, cells};
+    }
+    return {static_cast<std::uint64_t>(total), true, cells};
+  }
+
+  /// Fixes the elimination order and each step's factors, scope and
+  /// planned cells from the variables' window sizes.
+  void makePlan(const std::vector<std::uint64_t>& size) {
+    const std::size_t n = size.size();
+    std::vector<std::vector<std::uint32_t>> pairs_of(n);   // pair ids per var
+    std::vector<std::vector<std::uint32_t>> tables_of(n);  // step ids per var
+    std::vector<std::set<std::uint32_t>> adj(n);           // interaction graph
+    for (std::uint32_t id = 0; id < pairs.size(); ++id) {
+      const Pair& p = pairs[id];
+      pairs_of[p.before].push_back(id);
+      pairs_of[p.after].push_back(id);
+      adj[p.before].insert(p.after);
+      adj[p.after].insert(p.before);
+    }
+    std::vector<bool> pair_used(pairs.size(), false);
+    std::vector<bool> table_used(n, false);
+    std::vector<bool> eliminated(n, false);
+    std::uint64_t cells = 0;
+    for (std::size_t step = 0; step < n; ++step) {
       std::uint32_t x = 0;
       bool picked = false;
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -288,80 +341,175 @@ struct EliminationCounter {
         }
       }
       eliminated[x] = true;
-      std::vector<std::uint32_t> live_pairs;
+      Step st;
+      st.x = x;
       for (const std::uint32_t id : pairs_of[x]) {
         if (!pair_used[id]) {
           pair_used[id] = true;
-          live_pairs.push_back(id);
+          st.pairs.push_back(id);
         }
       }
-      std::vector<std::uint32_t> live_tables;
       for (const std::uint32_t id : tables_of[x]) {
         if (!table_used[id]) {
           table_used[id] = true;
-          live_tables.push_back(id);
+          st.inputs.push_back(id);
         }
       }
-      if (live_pairs.empty() && live_tables.empty()) {
-        if (__builtin_mul_overflow(total, size[x], &total)) {
-          return inexact();
+      if (!st.pairs.empty() || !st.inputs.empty()) {
+        st.scope.assign(adj[x].begin(), adj[x].end());
+        std::uint64_t step_cells = size[x];
+        for (const std::uint32_t s : st.scope) {
+          if (__builtin_mul_overflow(step_cells, size[s], &step_cells)) {
+            complete = false;
+            return;
+          }
         }
-        continue;  // unconstrained: a factor of its window size, no table
-      }
-      const std::vector<std::uint32_t> scope(adj[x].begin(), adj[x].end());
-      std::uint64_t table_cells = 1;
-      for (const std::uint32_t s : scope) {
-        if (__builtin_mul_overflow(table_cells, size[s], &table_cells)) {
-          return inexact();
+        if (step_cells > en.options->max_steps - cells) {
+          complete = false;
+          return;
+        }
+        cells += step_cells;
+        widest_scope = std::max(widest_scope, st.scope.size());
+        for (const std::uint32_t s : st.scope) {
+          adj[s].erase(x);
+          adj[s].insert(st.scope.begin(), st.scope.end());
+          adj[s].erase(s);
+          tables_of[s].push_back(static_cast<std::uint32_t>(plan.size()));
         }
       }
-      std::uint64_t step_cells = 0;
-      if (__builtin_mul_overflow(table_cells, size[x], &step_cells) ||
-          step_cells > en.options->max_steps - cells) {
-        return inexact();
-      }
-      cells += step_cells;
-      widest_scope = std::max(widest_scope, scope.size());
+      st.cells = cells;
+      plan.push_back(std::move(st));
+    }
+  }
 
-      Table out{scope, std::vector<U128>(table_cells, 0)};
-      if (!eliminate(x, live_pairs, live_tables, out)) {
-        return inexact();
-      }
-      // No assignment of the remaining variables completes a schedule.
-      if (std::all_of(out.data.begin(), out.data.end(),
-                      [](U128 c) { return c == 0; })) {
-        return {0, true, cells};
-      }
-      for (const std::uint32_t s : scope) {
-        adj[s].erase(x);
-        adj[s].insert(scope.begin(), scope.end());
-        adj[s].erase(s);
-      }
-      if (scope.empty()) {
-        if (__builtin_mul_overflow(total, out.data[0], &total)) {
-          return inexact();
+  /// Runs plan steps [from, plan.size()) in `f`, multiplying `total` by
+  /// the factors they leave.
+  Outcome execute(std::size_t from, Frame& f, U128& total) {
+    for (std::size_t i = from; i < plan.size(); ++i) {
+      const Step& st = plan[i];
+      reached = std::max(reached, i + 1);
+      if (st.pairs.empty() && st.inputs.empty()) {
+        // Unconstrained: a factor of its window size, no table.
+        if (__builtin_mul_overflow(total, f.size[st.x], &total)) {
+          return Outcome::kOverflow;
         }
         continue;
       }
-      const auto id = static_cast<std::uint32_t>(tables.size());
-      for (const std::uint32_t s : scope) {
-        tables_of[s].push_back(id);
+      std::vector<U128>& out =
+          dependsOnFixed(st, f) ? f.owned[i] : (*f.shared)[i];
+      if (out.empty()) {
+        std::uint64_t table_cells = 1;  // at most the planned cells
+        for (const std::uint32_t s : st.scope) {
+          table_cells *= f.size[s];
+        }
+        if (table_cells > max_table_cells) {
+          return condition(i, f, total);
+        }
+        out.assign(table_cells, 0);
+        if (!eliminate(st, f, out)) {
+          return Outcome::kOverflow;
+        }
+        if (std::all_of(out.begin(), out.end(),
+                        [](U128 c) { return c == 0; })) {
+          std::vector<U128>().swap(out);
+          return Outcome::kZero;
+        }
       }
-      tables.push_back(std::move(out));
-      table_used.push_back(false);
+      for (const std::uint32_t p : st.inputs) {
+        f.table[p] = nullptr;
+        std::vector<U128>().swap(f.owned[p]);
+      }
+      if (st.scope.empty()) {
+        if (__builtin_mul_overflow(total, out[0], &total)) {
+          return Outcome::kOverflow;
+        }
+        continue;
+      }
+      f.table[i] = &out;
     }
-    if (total > std::numeric_limits<std::uint64_t>::max()) {
-      return inexact();
-    }
-    return {static_cast<std::uint64_t>(total), true, cells};
+    return Outcome::kCounted;
   }
 
-  /// Fills out.data[a] = Σ_{t_x} Π factors(a, t_x) for every assignment a
-  /// of out.scope; false on 128-bit overflow.
-  bool eliminate(std::uint32_t x, const std::vector<std::uint32_t>& live_pairs,
-                 const std::vector<std::uint32_t>& live_tables,
-                 Table& out) const {
-    const std::vector<std::uint32_t>& scope = out.scope;
+  /// Whether step `st` may differ between the runs of f's condition: it
+  /// sums out or keeps the fixed variable, or reads a table f owns.
+  static bool dependsOnFixed(const Step& st, const Frame& f) {
+    return f.shared == nullptr || st.x == f.fixed ||
+           std::binary_search(st.scope.begin(), st.scope.end(), f.fixed) ||
+           std::any_of(st.inputs.begin(), st.inputs.end(),
+                       [&](std::uint32_t p) { return !f.owned[p].empty(); });
+  }
+
+  /// Runs plan steps [i, plan.size()) once per value of the widest
+  /// variable in step i's scope (ties: the lowest index), that variable
+  /// fixed to the value, and multiplies `total` by the sum of the runs.
+  /// The variable has two or more values, since the table has more than
+  /// max_table_cells >= 1 cells.
+  Outcome condition(std::size_t i, const Frame& f, U128& total) {
+    std::uint32_t v = plan[i].scope.front();
+    for (const std::uint32_t s : plan[i].scope) {
+      v = f.size[s] > f.size[v] ? s : v;
+    }
+    std::vector<std::vector<U128>> shared(plan.size());
+    U128 sum = 0;
+    bool counted = false;
+    for (std::uint64_t t = 0; t < f.size[v]; ++t) {
+      ++conditioned;
+      Frame run{f.lo, f.size, f.table,
+                std::vector<std::vector<U128>>(plan.size()), &shared, v};
+      run.lo[v] += static_cast<std::int64_t>(t);
+      run.size[v] = 1;
+      for (std::size_t p = 0; p < i; ++p) {
+        const std::vector<std::uint32_t>& over = plan[p].scope;
+        if (f.table[p] != nullptr &&
+            std::binary_search(over.begin(), over.end(), v)) {
+          run.owned[p] = slice(*f.table[p], over, f.size, v, t);
+          run.table[p] = &run.owned[p];
+        }
+      }
+      U128 part = 1;
+      const Outcome o = execute(i, run, part);
+      if (o == Outcome::kOverflow) {
+        return o;
+      }
+      if (o == Outcome::kCounted) {
+        counted = true;
+        if (__builtin_add_overflow(sum, part, &sum)) {
+          return Outcome::kOverflow;
+        }
+      }
+    }
+    if (!counted) {
+      return Outcome::kZero;
+    }
+    return __builtin_mul_overflow(total, sum, &total) ? Outcome::kOverflow
+                                                      : Outcome::kCounted;
+  }
+
+  /// The cells of `data` (a table over `scope`, extents `size`) at offset
+  /// `t` of its variable `v`.
+  static std::vector<U128> slice(const std::vector<U128>& data,
+                                 const std::vector<std::uint32_t>& scope,
+                                 const std::vector<std::uint64_t>& size,
+                                 std::uint32_t v, std::uint64_t t) {
+    std::uint64_t inner = 1;
+    for (auto s = scope.rbegin(); *s != v; ++s) {
+      inner *= size[*s];
+    }
+    const std::uint64_t block = size[v] * inner;
+    std::vector<U128> out;
+    out.reserve(data.size() / size[v]);
+    for (std::uint64_t at = t * inner; at < data.size(); at += block) {
+      const auto first = data.begin() + static_cast<std::ptrdiff_t>(at);
+      out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(inner));
+    }
+    return out;
+  }
+
+  /// Fills out[a] = Σ_{t_x} Π factors(a, t_x) for every assignment a of
+  /// st.scope under f's windows; false on 128-bit overflow.
+  bool eliminate(const Step& st, const Frame& f, std::vector<U128>& out) const {
+    const std::uint32_t x = st.x;
+    const std::vector<std::uint32_t>& scope = st.scope;
     auto position = [&](std::uint32_t var) {
       return static_cast<std::size_t>(
           std::lower_bound(scope.begin(), scope.end(), var) - scope.begin());
@@ -373,7 +521,7 @@ struct EliminationCounter {
       bool upper;  // t_x <= t_other - gap, else t_x >= t_other + gap
     };
     std::vector<Bound> bounds;
-    for (const std::uint32_t id : live_pairs) {
+    for (const std::uint32_t id : st.pairs) {
       const Pair& p = pairs[id];
       const bool upper = p.before == x;
       bounds.push_back({position(upper ? p.after : p.before), p.gap, upper});
@@ -385,29 +533,29 @@ struct EliminationCounter {
       std::uint64_t stride_x = 0;
     };
     std::vector<Use> uses;
-    for (const std::uint32_t id : live_tables) {
-      const Table& t = tables[id];
-      Use use{&t.data, std::vector<std::uint64_t>(scope.size(), 0), 0};
+    for (const std::uint32_t id : st.inputs) {
+      const std::vector<std::uint32_t>& over = plan[id].scope;
+      Use use{f.table[id], std::vector<std::uint64_t>(scope.size(), 0), 0};
       std::uint64_t stride = 1;
-      for (std::size_t j = t.scope.size(); j-- > 0;) {
-        if (t.scope[j] == x) {
+      for (std::size_t j = over.size(); j-- > 0;) {
+        if (over[j] == x) {
           use.stride_x = stride;
         } else {
-          use.stride_at[position(t.scope[j])] = stride;
+          use.stride_at[position(over[j])] = stride;
         }
-        stride *= size[t.scope[j]];
+        stride *= f.size[over[j]];
       }
       uses.push_back(std::move(use));
     }
 
     std::vector<std::uint64_t> offset(scope.size(), 0);
     std::vector<std::uint64_t> base(uses.size(), 0);
-    for (U128& cell : out.data) {
-      std::int64_t t_lo = lo[x];
-      std::int64_t t_hi = lo[x] + static_cast<std::int64_t>(size[x]) - 1;
+    for (U128& cell : out) {
+      std::int64_t t_lo = f.lo[x];
+      std::int64_t t_hi = f.lo[x] + static_cast<std::int64_t>(f.size[x]) - 1;
       for (const Bound& b : bounds) {
         const std::int64_t t_other =
-            lo[scope[b.pos]] + static_cast<std::int64_t>(offset[b.pos]);
+            f.lo[scope[b.pos]] + static_cast<std::int64_t>(offset[b.pos]);
         if (b.upper) {
           t_hi = std::min(t_hi, t_other - b.gap);
         } else {
@@ -424,7 +572,7 @@ struct EliminationCounter {
           }
         }
         for (std::int64_t t = t_lo; t <= t_hi; ++t) {
-          const auto tx = static_cast<std::uint64_t>(t - lo[x]);
+          const auto tx = static_cast<std::uint64_t>(t - f.lo[x]);
           U128 product = 1;
           for (std::size_t u = 0; u < uses.size() && product != 0; ++u) {
             const U128 factor =
@@ -439,7 +587,7 @@ struct EliminationCounter {
         }
       }
       for (std::size_t j = scope.size(); j-- > 0;) {
-        if (++offset[j] < size[scope[j]]) {
+        if (++offset[j] < f.size[scope[j]]) {
           break;
         }
         offset[j] = 0;
@@ -461,6 +609,7 @@ CountResult countSchedules(const cdfg::Cdfg& g,
   LOCWM_OBS_COUNT("sched.enum.schedules", r.count);
   LOCWM_OBS_COUNT("sched.enum.budget_hits", r.exact ? 0 : 1);
   LOCWM_OBS_GAUGE_MAX("sched.enum.widest_scope", counter.widest_scope);
+  LOCWM_OBS_COUNT("sched.enum.conditioned", counter.conditioned);
   return r;
 }
 

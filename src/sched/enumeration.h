@@ -9,7 +9,9 @@
 // 0/1 factor per precedence, variables summed out in a deterministic
 // min-degree order.  That costs O(n·D^(w+1)) table cells for n operations,
 // window length D and elimination width w; carved localities are
-// near-trees, so w stays small and the count takes milliseconds.
+// near-trees, so w stays small and the count takes milliseconds.  A step
+// whose table would pass a memory bound conditions on one of its
+// variables instead, so a count's memory stays small whatever its width.
 // enumerateSchedules keeps the backtracking enumerator for callers that
 // need the schedules themselves, and as the counter's test oracle.
 //
@@ -52,10 +54,14 @@ struct EnumerationOptions {
     std::uint32_t hi = 0;
   };
   std::vector<Window> windows;
-  /// Work bound.  countSchedules stops before an elimination step whose
-  /// table cells would take the total past it; enumerateSchedules stops
-  /// after this many partial assignments.
+  /// Work bound.  countSchedules plans its eliminations first and
+  /// evaluates no table when the plan's cells would pass it;
+  /// enumerateSchedules stops after this many partial assignments.
   std::uint64_t max_steps = 200'000'000;
+  /// Memory bound of countSchedules: no table it keeps holds more cells
+  /// (16 bytes each).  A step whose table would is split by conditioning
+  /// on one variable of its scope; the count does not depend on it.
+  std::uint64_t max_table_cells = 1U << 16;
 };
 
 /// Result of a counting run.
@@ -64,12 +70,12 @@ struct CountResult {
   /// False when the work bound was reached or the count does not fit in
   /// 64 bits; `count` is then 0, not a bound.
   bool exact = true;
-  std::uint64_t steps = 0;     ///< table cells evaluated
+  std::uint64_t steps = 0;     ///< planned table cells of the steps run
 };
 
 /// Counts feasible schedules exactly by variable elimination.  Returns
-/// exact=false when the next elimination step would evaluate more than
-/// max_steps cells in total, or when the count overflows.  Throws
+/// exact=false when the elimination plan needs more than max_steps cells
+/// in total, or when the count overflows.  Throws
 /// ScheduleError for a malformed window, an extra edge on a pseudo-op or
 /// a dependence cycle.
 [[nodiscard]] CountResult countSchedules(const cdfg::Cdfg& g,

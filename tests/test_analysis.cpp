@@ -5,8 +5,10 @@
 
 #include "cdfg/analysis.h"
 #include "cdfg/ordering.h"
+#include "cdfg/prng.h"
 #include "cdfg/random_dfg.h"
 #include "cdfg/subgraph.h"
+#include "tests/ordering_oracle.h"
 #include "workloads/iir4.h"
 
 namespace locwm::cdfg {
@@ -149,6 +151,35 @@ TEST(Ordering, FanoutDisambiguatesSiblings) {
   EXPECT_TRUE(ord.unique);
 }
 
+TEST(Analysis, ViewConstructorMatchesBuilderAndRejectsCycles) {
+  RandomDfgOptions o;
+  o.operations = 80;
+  const Cdfg g = randomDfg(o, 9);
+  const CsrView view(g);
+  const StructuralAnalysis from_view(view);
+  const StructuralAnalysis from_builder(g);
+  EXPECT_EQ(&from_view.csr(), &view);
+  EXPECT_EQ(from_view.criticalPathLength(), from_builder.criticalPathLength());
+  for (const NodeId v : g.allNodes()) {
+    EXPECT_EQ(from_view.level(v), from_builder.level(v));
+    EXPECT_EQ(from_view.height(v), from_builder.height(v));
+  }
+
+  // a -> b -> c -> a over data edges, plus a temporal edge the analysis
+  // ignores: the Kahn pass cannot finish and reports the cycle.
+  const std::vector<OpKind> kinds(3, OpKind::kAdd);
+  const std::vector<Edge> cycle = {{NodeId(0), NodeId(1), EdgeKind::kData},
+                                   {NodeId(1), NodeId(2), EdgeKind::kData},
+                                   {NodeId(2), NodeId(0), EdgeKind::kData}};
+  const CsrView cyclic(kinds, cycle);
+  EXPECT_THROW(StructuralAnalysis{cyclic}, GraphError);
+  const std::vector<Edge> temporal_only = {
+      {NodeId(0), NodeId(1), EdgeKind::kData},
+      {NodeId(1), NodeId(0), EdgeKind::kTemporal}};
+  const CsrView acyclic(kinds, temporal_only);
+  EXPECT_EQ(StructuralAnalysis(acyclic).level(NodeId(1)), 2u);
+}
+
 TEST(Ordering, RanksAreRelabelInvariant) {
   // THE key property: on a permuted copy of the graph, every uniquely
   // ranked node must receive the same rank as its counterpart.
@@ -204,6 +235,76 @@ TEST(Ordering, RandomGraphsMostlyUnique) {
       EXPECT_LE(ord.ranks[i - 1], ord.ranks[i]);
     }
   }
+}
+
+/// A random DAG over a small kind alphabet, so structural ties are
+/// common: edges run from lower to higher id, parallel edges are drawn on
+/// purpose and about one in six edges is control or temporal.  A
+/// temporal edge may repeat an existing pair only by chance, so that case
+/// is skipped rather than drawn.
+Cdfg randomTieDag(SplitMix64& rng, std::size_t n) {
+  static constexpr OpKind kKinds[] = {OpKind::kInput, OpKind::kAdd,
+                                      OpKind::kAdd,   OpKind::kMul,
+                                      OpKind::kConst, OpKind::kOutput};
+  Cdfg g;
+  for (std::size_t i = 0; i < n; ++i) {
+    g.addNode(kKinds[rng.below(std::size(kKinds))]);
+  }
+  const std::size_t edges = n == 0 ? 0 : rng.below(2 * n + 1);
+  for (std::size_t e = 0; e < edges && n > 1; ++e) {
+    const auto a = static_cast<std::uint32_t>(rng.below(n - 1));
+    const auto b = static_cast<std::uint32_t>(a + 1 + rng.below(n - 1 - a));
+    const std::uint64_t k = rng.below(12);
+    const EdgeKind kind = k == 0   ? EdgeKind::kControl
+                          : k == 1 ? EdgeKind::kTemporal
+                                   : EdgeKind::kData;
+    // The builder refuses a duplicate temporal edge.
+    const std::size_t copies =
+        kind != EdgeKind::kTemporal && rng.below(4) == 0 ? 2 : 1;
+    if (kind == EdgeKind::kTemporal &&
+        g.hasEdge(NodeId(a), NodeId(b), EdgeKind::kTemporal)) {
+      continue;
+    }
+    for (std::size_t c = 0; c < copies; ++c) {
+      g.addEdge(NodeId(a), NodeId(b), kind);
+    }
+  }
+  return g;
+}
+
+TEST(Ordering, MatchesGlobalRefinementOracleOnRandomDags) {
+  // The class-local refinement must reproduce the global key-sorting
+  // refinement exactly: same order, same dense ranks, same uniqueness
+  // verdict and the same number of rounds, on whole graphs and on node
+  // subsets, under every depth bound.
+  SplitMix64 rng(0x0DE5);
+  std::size_t tied = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Cdfg g = randomTieDag(rng, rng.below(48));
+    std::vector<NodeId> subset;
+    for (const NodeId v : g.allNodes()) {
+      if (trial % 2 == 0 || rng.below(3) != 0) {
+        subset.push_back(v);
+      }
+    }
+    // Subsets arrive in arbitrary order.
+    for (std::size_t i = subset.size(); i > 1; --i) {
+      std::swap(subset[i - 1], subset[rng.below(i)]);
+    }
+    const StructuralAnalysis a(g);
+    for (const std::uint32_t depth : {0u, 1u, 2u, 3u, 64u}) {
+      const NodeOrdering want = testing::referenceOrdering(g, subset, depth);
+      const NodeOrdering got = computeOrdering(a, subset, depth);
+      ASSERT_EQ(got.ordered, want.ordered) << "trial " << trial;
+      ASSERT_EQ(got.ranks, want.ranks) << "trial " << trial;
+      ASSERT_EQ(got.unique, want.unique) << "trial " << trial;
+      ASSERT_EQ(got.max_depth_used, want.max_depth_used) << "trial " << trial;
+      tied += want.unique ? 0 : 1;
+    }
+    const NodeOrdering all = computeOrdering(a);
+    ASSERT_EQ(all.ranks, testing::referenceOrdering(g, g.allNodes()).ranks);
+  }
+  EXPECT_GT(tied, 100u);  // the generator does exercise unresolved ties
 }
 
 }  // namespace

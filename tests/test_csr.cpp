@@ -161,6 +161,34 @@ TEST(Csr, MatchesBuilderAfterStrippingTemporalEdges) {
   }
 }
 
+TEST(Csr, ListConstructorLowersKindsAndEdgesWithTombstones) {
+  // The builder constructor delegates to the list constructor; with
+  // removed edges it passes tombstones, whose ids stay unused.
+  cdfg::Cdfg g = smallRandomDfg(6, 70);
+  addTemporalEdges(g, 10, 66);
+  cdfg::SplitMix64 rng(606);
+  for (int i = 0; i < 12; ++i) {
+    const EdgeId e(static_cast<std::uint32_t>(rng.below(g.edgeTableSize())));
+    if (g.edgeAlive(e)) {
+      g.removeEdge(e);
+    }
+  }
+  ASSERT_LT(g.edgeCount(), g.edgeTableSize());
+  expectViewMatches(g, CsrView(g));
+
+  std::vector<cdfg::OpKind> kinds;
+  for (const cdfg::Node& node : g.nodes()) {
+    kinds.push_back(node.kind);
+  }
+  std::vector<cdfg::Edge> edges = g.edges();
+  for (std::size_t id = 0; id < edges.size(); ++id) {
+    if (!g.edgeAlive(EdgeId(static_cast<std::uint32_t>(id)))) {
+      edges[id].src = NodeId::invalid();
+    }
+  }
+  expectViewMatches(g, CsrView(kinds, edges));
+}
+
 TEST(Csr, EmptyGraph) {
   const cdfg::Cdfg g;
   const CsrView view(g);

@@ -77,6 +77,44 @@ TEST(EmbedPin, Mpeg2SixAuthorsFourMarks) {
   EXPECT_EQ(marks, 24u);
 }
 
+TEST(EmbedPin, EmbedManySharesOneAnalysisAcrossMarks) {
+  // embedMany builds the deriver, the frames and the structural analysis
+  // once and re-times the frames per committed edge; the marks and the
+  // marked design must equal those of one embed() call per mark, with the
+  // benchmark's deadline and with the critical-path default.
+  const cdfg::Cdfg original = mpeg2();
+  SchedWmParams slack;
+  slack.locality.min_size = 4;
+  slack.min_eligible = 2;
+  slack.deadline =
+      sched::TimeFrames(original, slack.latency).criticalPathSteps() + 3;
+  std::size_t marks = 0;
+  for (const SchedWmParams& params : {slack, SchedWmParams{}}) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      const SchedulingWatermarker marker(
+          crypto::AuthorSignature{"many-" + std::to_string(a), "mpeg2"});
+      cdfg::Cdfg one = original;
+      std::ostringstream want;
+      for (std::size_t i = 0; i < 4; ++i) {
+        const std::optional<SchedEmbedResult> e = marker.embed(one, params, i);
+        if (e.has_value()) {
+          printEmbed(want, e);
+        }
+      }
+      cdfg::print(want, one);
+      cdfg::Cdfg many = original;
+      std::ostringstream got;
+      for (const SchedEmbedResult& e : marker.embedMany(many, 4, params)) {
+        printEmbed(got, e);
+        ++marks;
+      }
+      cdfg::print(got, many);
+      EXPECT_EQ(got.str(), want.str()) << "many-" << a;
+    }
+  }
+  EXPECT_GT(marks, 12u);
+}
+
 TEST(EmbedPin, GlobalOnHyperDct8) {
   cdfg::Cdfg g = workloads::dct8();
   GlobalWmParams params;

@@ -1,13 +1,15 @@
 // Exact schedule counting by variable elimination, checked against the
 // backtracking enumerator: random DFGs, windows and extra edges, pseudo-op
 // and zero-latency sources, disconnected shapes, an mpeg2 locality the
-// enumerator could not finish in its old budget, the cell bound, 64-bit
-// overflow, and thread-count determinism of the aggregate Pc.
+// enumerator could not finish in its old budget, the table-size bound and
+// its conditioning, the cell bound, 64-bit overflow, and thread-count
+// determinism of the aggregate Pc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <random>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "cdfg/random_dfg.h"
 #include "core/pc.h"
 #include "core/sched_wm.h"
+#include "obs/obs.h"
 #include "rt/rt.h"
 #include "sched/enumeration.h"
 #include "sched/timeframes.h"
@@ -181,9 +184,10 @@ TEST(ScheduleCount, EmptyWindowCountsZero) {
   EXPECT_EQ(enumeratedCount(g, o), 0u);
 }
 
-/// The first mark author "author-21-0" embeds into MediaBench mpeg2 with
-/// the benchmark's parameters.
-wm::WatermarkCertificate mpeg2Certificate() {
+/// Mark `mark` of the marks `author` embeds one after another into
+/// MediaBench mpeg2 with the benchmark's parameters.
+wm::WatermarkCertificate mpeg2Certificate(const char* author = "author-21-0",
+                                          std::size_t mark = 0) {
   workloads::MediaBenchProfile profile;
   for (const auto& p : workloads::mediaBenchProfiles()) {
     if (p.name == "mpeg2") {
@@ -195,8 +199,11 @@ wm::WatermarkCertificate mpeg2Certificate() {
   params.deadline = TimeFrames(g, params.latency).criticalPathSteps() + 3;
   params.locality.min_size = 4;
   params.min_eligible = 2;
-  const auto e =
-      wm::SchedulingWatermarker({"author-21-0", "mpeg2"}).embed(g, params, 0);
+  const wm::SchedulingWatermarker marker({author, "mpeg2"});
+  std::optional<wm::SchedEmbedResult> e;
+  for (std::size_t i = 0; i <= mark; ++i) {
+    e = marker.embed(g, params, i);
+  }
   EXPECT_TRUE(e.has_value());
   return e ? e->certificate : wm::WatermarkCertificate{};
 }
@@ -217,6 +224,92 @@ TEST(ScheduleCount, Mpeg2LocalityBeyondTheOldEnumerationBudget) {
   const wm::PcEstimate pc = wm::exactSchedulingPc(cert, 2);
   EXPECT_EQ(pc.schedules_unconstrained, 40'166'316u);
   EXPECT_EQ(pc.schedules_constrained, 10'752u);
+}
+
+TEST(ScheduleCount, TableBoundDoesNotChangeTheCount) {
+  // A step whose table would pass max_table_cells conditions on one of
+  // its variables instead.  Down to one cell per table, the count and the
+  // planned cells stay those of the unbounded elimination.
+  std::mt19937_64 rng(11);
+  for (std::uint64_t seed = 40; seed < 56; ++seed) {
+    cdfg::RandomDfgOptions opt;
+    opt.operations = 10;
+    opt.inputs = 3;
+    opt.width = 4;
+    const Cdfg g = cdfg::randomDfg(opt, seed);
+    EnumerationOptions o;
+    o.deadline = TimeFrames(g, o.latency).criticalPathSteps() + 2;
+    const std::vector<NodeId> ops = realOpsInTopoOrder(g, o.latency);
+    for (int e = 0; e < 2; ++e) {
+      const std::size_t a = rng() % ops.size();
+      const std::size_t b = rng() % ops.size();
+      if (a != b) {
+        o.extra_edges.push_back({ops[std::min(a, b)], ops[std::max(a, b)]});
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    o.max_table_cells = std::numeric_limits<std::uint64_t>::max();
+    const CountResult unbounded = countSchedules(g, o);
+    ASSERT_TRUE(unbounded.exact);
+    EXPECT_EQ(unbounded.count, enumeratedCount(g, o));
+    for (const std::uint64_t cap : {1u, 2u, 5u, 30u}) {
+      o.max_table_cells = cap;
+      const CountResult r = countSchedules(g, o);
+      ASSERT_TRUE(r.exact) << "cap " << cap;
+      EXPECT_EQ(r.count, unbounded.count) << "cap " << cap;
+      if (unbounded.count > 0) {
+        EXPECT_EQ(r.steps, unbounded.steps) << "cap " << cap;
+      }
+    }
+  }
+}
+
+TEST(ScheduleCount, Mpeg2WideLocalitiesStayWithinTheTableBound) {
+  // Two mpeg2 counts whose eliminations plan tables past the default bound
+  // of 65 536 cells: ΨW of one mark (an 844 800-cell table, 13.5 MiB;
+  // no schedule meets its constraints) and ΨN of another (69 300 cells).
+  // Both condition, and count what the unbounded elimination counts.
+  struct Case {
+    const char* author;
+    std::size_t mark;
+    bool constrained;
+    std::uint64_t count;
+  };
+  for (const Case& c :
+       {Case{"author-6-1860", 1, true, 0},
+        Case{"author-6-3660", 0, false, 3'600'889'149'981'258}}) {
+    SCOPED_TRACE(c.author);
+    const wm::WatermarkCertificate cert = mpeg2Certificate(c.author, c.mark);
+    EnumerationOptions o;
+    o.max_steps = 50'000'000;
+    o.deadline = TimeFrames(cert.shape, o.latency).criticalPathSteps() + 2;
+    for (const wm::RankConstraint& rc : cert.constraints) {
+      if (c.constrained) {
+        o.extra_edges.push_back(
+            {NodeId(rc.before_rank), NodeId(rc.after_rank)});
+      }
+    }
+    o.max_table_cells = std::numeric_limits<std::uint64_t>::max();
+    const CountResult unbounded = countSchedules(cert.shape, o);
+    ASSERT_TRUE(unbounded.exact);
+    EXPECT_EQ(unbounded.count, c.count);
+
+    obs::setEnabled(true);
+    obs::Counter& conditioned =
+        obs::MetricsRegistry::instance().counter("sched.enum.conditioned");
+    const std::uint64_t before = conditioned.value();
+    o.max_table_cells = EnumerationOptions{}.max_table_cells;
+    const CountResult bounded = countSchedules(cert.shape, o);
+    const std::uint64_t runs = conditioned.value() - before;
+    obs::setEnabled(false);
+    ASSERT_TRUE(bounded.exact);
+    EXPECT_EQ(bounded.count, unbounded.count);
+#if LOCWM_OBS_ENABLED
+    EXPECT_GT(runs, 0u);
+#else
+    static_cast<void>(runs);
+#endif
+  }
 }
 
 TEST(ScheduleCount, AggregateIdenticalAcrossThreadCounts) {
